@@ -51,11 +51,6 @@ def float_mode(mode):
         set_float_mode(prev)
 
 
-def assert_finite(arr, where):
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"non-finite values in {where}")
-
-
 class Tensor:
     """A dense array plus the bookkeeping needed to replay its backward rule."""
 
@@ -154,8 +149,11 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        # Frozen operands (backbone residuals, PMA, the head) get no gradient.
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _record(out_data, (a, b), backward, "matmul")
 
@@ -245,6 +243,62 @@ def softmax_rows(a):
         _accum(a, out_data * (g - dot))
 
     return _record(out_data, (a,), backward, "softmax")
+
+
+def attention(q, k, v, n, heads, mask=None):
+    """Multi-head softmax(Q Kᵀ / sqrt(d_h) + mask) V as one tape node.
+
+    q, k, v are (b*n) x d rows grouped into length-n sequences; head h owns
+    columns [h*d_h, (h+1)*d_h). `mask` is an optional additive n x n array.
+    The heads run as (b, h, n, d_h) stacks through batched matmuls in the
+    same operand layouts and operation order as slicing out each sequence
+    and head and composing matmul, scale, add and softmax_rows, so both
+    give the same bits.
+    """
+    shapes = (q.data.shape, k.data.shape, v.data.shape)
+    if q.data.ndim != 2 or len(set(shapes)) != 1:
+        raise ShapeError(f"attention q, k, v must share one 2-D shape, got {shapes}")
+    rows, d = q.data.shape
+    if rows % n != 0:
+        raise ShapeError(f"attention: {rows} rows of {q.data.shape} do not split "
+                         f"into length-{n} sequences")
+    if d % heads != 0:
+        raise ShapeError(f"attention: width {d} of {q.data.shape} does not split "
+                         f"into {heads} heads")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=_dtype)
+        if mask.shape != (n, n):
+            raise ShapeError(f"attention mask shape {mask.shape} is not {(n, n)}")
+    b, dh = rows // n, d // heads
+    c = _dtype(1.0 / math.sqrt(dh))
+
+    def heads_of(x):  # (b*n, d) -> (b, h, n, d_h) view
+        return x.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):  # (b, h, n, d_h) -> (b*n, d)
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qs = np.ascontiguousarray(heads_of(q.data))
+    kt = np.ascontiguousarray(heads_of(k.data).transpose(0, 1, 3, 2))
+    vs = np.ascontiguousarray(heads_of(v.data))
+    scores = (qs @ kt) * c
+    if mask is not None:
+        scores = scores + mask
+    z = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out_data = merge(p @ vs)
+
+    def backward(g):
+        gs = heads_of(g)
+        dp = gs @ vs.transpose(0, 1, 3, 2)
+        dot = (dp * p).sum(axis=-1, keepdims=True)
+        ds = (p * (dp - dot)) * c
+        _accum(q, merge(ds @ kt.transpose(0, 1, 3, 2)))
+        _accum(k, merge((qs.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)))
+        _accum(v, merge(p.transpose(0, 1, 3, 2) @ gs))
+
+    return _record(out_data, (q, k, v), backward, "attention")
 
 
 def layer_norm(a, gain, bias, eps=1e-5):

@@ -29,6 +29,23 @@ def softmax_ref(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def attention_ref(q, k, v, n, heads, mask=None):
+    """Multi-head attention by loops over sequences and heads."""
+    q, k, v = (np.asarray(t, dtype=np.float64) for t in (q, k, v))
+    rows, d = q.shape
+    dh = d // heads
+    out = np.zeros((rows, d), dtype=np.float64)
+    for s in range(rows // n):
+        r = slice(s * n, (s + 1) * n)
+        for h in range(heads):
+            c = slice(h * dh, (h + 1) * dh)
+            scores = q[r, c] @ k[r, c].T / np.sqrt(dh)
+            if mask is not None:
+                scores = scores + mask
+            out[r, c] = softmax_ref(scores) @ v[r, c]
+    return out
+
+
 def layer_norm_ref(x, gain, bias, eps=1e-5):
     x = np.asarray(x, dtype=np.float64)
     mu = x.mean(axis=1, keepdims=True)

@@ -4,7 +4,7 @@ import pytest
 from lamda.adapter import AdapterConfig, build_adapter
 from lamda.errors import ConfigError, ShapeError
 from lamda.model import ToyTransformer, ToyTransformerConfig
-from lamda.tensor import Tape
+from lamda.tensor import Tape, float_mode
 
 
 def _small_cfg(**overrides):
@@ -43,6 +43,23 @@ def test_causal_mask_blocks_future(f64):
     b = model.forward(bumped).data
     assert np.array_equal(a[:-1], b[:-1])
     assert not np.array_equal(a[-1], b[-1])
+
+
+def test_mask_cached_per_length_and_dtype():
+    """One mask array per (n, float mode), reused by every forward; the
+    causal check above also holds with f32 arithmetic."""
+    model = ToyTransformer(_small_cfg(), seed=3)
+    for mode, dt in (("f32", np.float32), ("f64", np.float64)):
+        with float_mode(mode):
+            mask = model._mask(8)
+            assert mask.dtype == dt
+            base = np.array([[1, 2, 3, 4, 5, 6, 7, 8]])
+            bumped = base.copy()
+            bumped[0, -1] = 9
+            a, b = model.forward(base).data, model.forward(bumped).data
+            assert np.array_equal(a[:-1], b[:-1]) and not np.array_equal(a[-1], b[-1])
+            assert model._mask(8) is mask
+    assert set(model._masks) == {(8, np.float32), (8, np.float64)}
 
 
 def test_non_causal_attends_everywhere(f64):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lamda.errors import ContractError, ShapeError
-from lamda.tensor import (Tape, Tensor, add, concat_cols, concat_rows,
+from lamda.tensor import (Tape, Tensor, add, attention, concat_cols, concat_rows,
                           cross_entropy, embedding, gelu, get_float_mode,
                           layer_norm, matmul, mul, scale, set_float_mode,
                           slice_cols, slice_rows, softmax_rows, sub,
@@ -33,6 +35,19 @@ class TestMatmul:
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+class TestFrozenOperand:
+    def test_frozen_weight_gets_no_gradient(self):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w_frozen = Tensor(rng.normal(size=(4, 3)))
+        c = Tensor(rng.normal(size=(6, 3)))
+        with Tape() as tape:
+            grads = tape.backward(tensor_sum(mul(matmul(x, w_frozen), c)))
+        assert w_frozen.grad is None and w_frozen not in grads
+        # d(sum(y * c))/dy is c itself, so x's gradient is exactly c @ w.T
+        assert grads[x].tobytes() == (c.data @ w_frozen.data.T).tobytes()
+
+
 class TestSoftmax:
     def test_symmetric_row(self):
         out = softmax_rows(Tensor([[0.0, 0.0]]))
@@ -54,6 +69,104 @@ class TestSoftmax:
         x = rng.normal(size=(4, 4))
         out = softmax_rows(Tensor(x))
         assert np.abs(out.data - oracles.softmax_ref(x)).max() <= 1e-12
+
+
+def _causal_mask(n):
+    return np.triu(np.full((n, n), -1e9), k=1)
+
+
+def _attention_by_slices(q, k, v, n, heads, mask):
+    """Per-(sequence, head) composition of the general primitives."""
+    d_h = q.data.shape[1] // heads
+    seq_outs = []
+    for s in range(q.data.shape[0] // n):
+        qs, ks, vs = (slice_rows(t, s * n, (s + 1) * n) for t in (q, k, v))
+        outs = []
+        for h in range(heads):
+            qh, kh, vh = (slice_cols(t, h * d_h, (h + 1) * d_h) for t in (qs, ks, vs))
+            scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(d_h))
+            if mask is not None:
+                scores = add(scores, Tensor(mask))
+            outs.append(matmul(softmax_rows(scores), vh))
+        seq_outs.append(concat_cols(outs))
+    return concat_rows(seq_outs)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_against_reference(self, f64, causal):
+        rng = np.random.default_rng(12)
+        n, heads = 5, 2
+        q, k, v = (rng.normal(size=(2 * n, 6)) for _ in range(3))
+        mask = _causal_mask(n) if causal else None
+        out = attention(Tensor(q), Tensor(k), Tensor(v), n, heads, mask)
+        want = oracles.attention_ref(q, k, v, n, heads, mask)
+        assert np.abs(out.data - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_gradient_check(self, f64, causal):
+        rng = np.random.default_rng(13)
+        n, heads = 4, 2
+        arrs = [rng.normal(size=(2 * n, 6)) for _ in range(3)]
+        w = rng.normal(size=(2 * n, 6))
+        mask = _causal_mask(n) if causal else None
+
+        def loss(ts):
+            return tensor_sum(mul(attention(*ts, n, heads, mask), Tensor(w)))
+
+        ts = [Tensor(a, requires_grad=True) for a in arrs]
+        with Tape() as tape:
+            grads = tape.backward(loss(ts))
+        for t, arr in zip(ts, arrs):
+            num = oracles.fd_grad(lambda: float(loss([Tensor(a) for a in arrs]).data), arr)
+            denom = max(np.abs(num).max(), 1e-8)
+            assert np.abs(grads[t] - num).max() / denom <= 1e-4
+
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("d, heads, n, b", [(32, 2, 8, 4), (64, 4, 16, 8)])
+    def test_bitwise_equals_sliced_composition(self, d, heads, n, b, causal):
+        """f32 bits of the golden and the toy model's shapes match the
+        per-(sequence, head) graph the fused op replaces."""
+        rng = np.random.default_rng(14)
+        arrs = [rng.normal(size=(b * n, d)) for _ in range(3)]
+        w = Tensor(rng.normal(size=(b * n, d)))
+        mask = _causal_mask(n) if causal else None
+        results = []
+        for op in (attention, _attention_by_slices):
+            ts = [Tensor(a, requires_grad=True) for a in arrs]
+            with Tape() as tape:
+                out = op(*ts, n, heads, mask)
+                tape.backward(tensor_sum(mul(out, w)))
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in ts])
+        fused, sliced = results
+        for name, got, want in zip(("out", "dq", "dk", "dv"), fused, sliced):
+            assert got == want, name
+
+    def test_one_tape_node(self):
+        q, k, v = (Tensor(np.ones((8, 4)), requires_grad=True) for _ in range(3))
+        with Tape() as tape:
+            attention(q, k, v, 4, 2, _causal_mask(4))
+        assert [node._op for node in tape.nodes] == ["attention"]
+
+    def test_qkv_shapes_must_match(self):
+        a, b = Tensor(np.zeros((8, 4))), Tensor(np.zeros((8, 6)))
+        with pytest.raises(ShapeError, match=r"\(8, 4\).*\(8, 6\)"):
+            attention(a, a, b, 4, 2)
+
+    def test_rows_must_split_into_sequences(self):
+        a = Tensor(np.zeros((9, 4)))
+        with pytest.raises(ShapeError, match=r"9 rows of \(9, 4\).*length-4"):
+            attention(a, a, a, 4, 2)
+
+    def test_width_must_split_into_heads(self):
+        a = Tensor(np.zeros((8, 6)))
+        with pytest.raises(ShapeError, match=r"width 6 of \(8, 6\).*4 heads"):
+            attention(a, a, a, 4, 4)
+
+    def test_mask_must_be_n_by_n(self):
+        a = Tensor(np.zeros((8, 4)))
+        with pytest.raises(ShapeError, match=r"mask shape \(3, 3\) is not \(4, 4\)"):
+            attention(a, a, a, 4, 2, _causal_mask(3))
 
 
 class TestLayerNorm:
