@@ -9,12 +9,25 @@ plus the always-trainable core.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .errors import ConfigError
 
-KIND_SET = ("q", "k", "v", "o", "ffn1", "ffn2")
+# The adapted linear modules of one transformer layer, in the order the toy
+# model draws their weights.
+KINDS = ("q", "k", "v", "o", "ffn1", "ffn2")
+
+
+def kind_shape(kind, d_model, ffn_dim):
+    """(d_in, d_out) of a module of `kind`: d x d in attention, d x f and f x d in the FFN."""
+    if kind == "ffn1":
+        return d_model, ffn_dim
+    if kind == "ffn2":
+        return ffn_dim, d_model
+    if kind in KINDS:
+        return d_model, d_model
+    raise ConfigError(f"unknown module kind {kind!r}")
 
 
 @dataclass
@@ -33,28 +46,21 @@ class ModelSpec:
         if not self.adapted_kinds:
             raise ConfigError("adapted_kinds must be non-empty")
         for k in self.adapted_kinds:
-            if k not in KIND_SET:
+            if k not in KINDS:
                 raise ConfigError(f"unknown module kind {k!r}")
         for v in (self.layers, self.d_model, self.ffn_dim, self.seq_len, self.batch):
             if v <= 0:
                 raise ConfigError("model spec dimensions must be positive")
 
-    def kind_shape(self, kind):
-        d, f = self.d_model, self.ffn_dim
-        return {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
-                "ffn1": (d, f), "ffn2": (f, d)}[kind]
-
     def modules(self):
         """(module id, (d_in, d_out)) for every adapted linear module."""
         for layer in range(self.layers):
             for kind in self.adapted_kinds:
-                yield f"L{layer}.{kind}", self.kind_shape(kind)
+                yield f"L{layer}.{kind}", kind_shape(kind, self.d_model, self.ffn_dim)
 
     @classmethod
     def from_json(cls, doc):
-        known = {"name", "layers", "d_model", "ffn_dim", "adapted_kinds",
-                 "seq_len", "batch", "bytes_per_scalar"}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown model spec keys: {sorted(unknown)}")
         return cls(**{k: (tuple(v) if k == "adapted_kinds" else v) for k, v in doc.items()})
@@ -108,7 +114,7 @@ class CostReport:
         return rows
 
 
-def _module_rank(ranks, module, default=None):
+def _module_rank(ranks, module):
     if isinstance(ranks, dict):
         if module not in ranks:
             raise ConfigError(f"no rank assigned for module {module!r}")
@@ -188,7 +194,8 @@ def count_lamda_effective(spec, ranks, ti_fraction):
 
 
 def activation_footprint(spec, method, ranks, include_trainable_up=False):
-    """Floats stored per step for the adapter paths.
+    """Floats stored per step for the adapter paths: the `activation_floats`
+    of `count_lora` or of `count_lamda_effective`.
 
     LoRA retains the d_in-wide input per module; the low-dimensional
     adapter retains one r-wide intermediate per module (plus a second
@@ -196,19 +203,11 @@ def activation_footprint(spec, method, ranks, include_trainable_up=False):
     """
     method = method.lower()
     if method == "lora":
-        total = 0.0
-        for _, (d_in, _) in spec.modules():
-            total += spec.batch * spec.seq_len * d_in
-        return {"adapter_input": total}
+        return count_lora(spec, ranks).activation_floats
     if method != "lamda":
         raise ConfigError(f"method must be 'lora' or 'lamda', got {method!r}")
-    total = 0.0
-    for module, _ in spec.modules():
-        total += spec.batch * spec.seq_len * _module_rank(ranks, module)
-    out = {"adapter_core_input": total}
-    if include_trainable_up:
-        out["up_projection_input_while_trainable"] = total
-    return out
+    ti_fraction = 1.0 if include_trainable_up else 0.0
+    return count_lamda_effective(spec, ranks, ti_fraction).activation_floats
 
 
 def optimizer_state_bytes(live_trainable_params, bytes_per_scalar=4):

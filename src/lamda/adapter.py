@@ -58,6 +58,10 @@ class AdapterState:
             path = scale(path, self.config.alpha)
         return add(main, path)
 
+    def tensors(self):
+        """The adapter's tensors by name, in checkpoint order."""
+        return {"w_res": self.w_res, "a": self.a, "s": self.s, "b": self.b}
+
     def trainable_parameter_names(self):
         names = {"s"}
         names.update(f"b.row{i}" for i in range(self.trainable_rows))
@@ -88,6 +92,10 @@ class LoraState:
         if self.alpha != 1.0:
             path = scale(path, self.alpha)
         return add(main, path)
+
+    def tensors(self):
+        """The adapter's tensors by name, in checkpoint order."""
+        return {"a": self.a, "b": self.b, "w": self.w}
 
     def trainable_parameter_names(self):
         return {"a", "b"}

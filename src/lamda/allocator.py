@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .accounting import KINDS
 from .errors import ConfigError
 from .svd import energy_score, svd
-
-KIND_ORDER = ("q", "k", "v", "o", "ffn1", "ffn2")
 
 _MODULE_RE = re.compile(r"^L(\d+)\.(\w+)$")
 
@@ -81,7 +80,7 @@ def parse_module_id(module):
 
 
 def _kind_index(kind):
-    return KIND_ORDER.index(kind) if kind in KIND_ORDER else len(KIND_ORDER)
+    return KINDS.index(kind) if kind in KINDS else len(KINDS)
 
 
 def score_from_sigma(module, sigma, budget):

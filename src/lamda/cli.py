@@ -8,10 +8,9 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import accounting, allocator, container
-from .config import load_run_config
+from .config import load_run_config, read_json
 from .svd import energy_score, svd
 from .errors import ConfigError, LamdaError, NumericalError
 from .train import train
@@ -50,8 +49,7 @@ def cmd_analyze(args):
     budget = allocator.RankBudget(ranks=_parse_int_list(args.ranks), target=args.target)
 
     names = sorted(matrices)
-    with ThreadPoolExecutor(max_workers=min(8, len(names))) as pool:
-        sigmas = dict(zip(names, pool.map(lambda n: svd(matrices[n]).sigma, names)))
+    sigmas = {n: svd(matrices[n]).sigma for n in names}
 
     scores = [allocator.score_from_sigma(n, sigmas[n], budget) for n in names]
     _write_json(args.scores_out, allocator.scores_to_json(scores))
@@ -73,10 +71,8 @@ def cmd_analyze(args):
 
 
 def cmd_plan(args):
-    with open(args.scores, encoding="utf-8") as fh:
-        scores = allocator.scores_from_json(json.load(fh))
-    with open(args.budget, encoding="utf-8") as fh:
-        budget = allocator.RankBudget.from_json(json.load(fh))
+    scores = allocator.scores_from_json(read_json(args.scores, ("modules",)))
+    budget = allocator.RankBudget.from_json(read_json(args.budget, ("ranks", "target")))
     plan = allocator.allocate(scores, budget, reverse=args.reverse)
     _write_json(args.out, plan.to_json())
     return 0
@@ -88,13 +84,15 @@ def cmd_plan(args):
 def cmd_count(args):
     spec = accounting.load_preset(args.model_preset)
     method = args.method.lower()
-    ranks = args.rank
-    if args.rank_plan:
-        with open(args.rank_plan, encoding="utf-8") as fh:
-            ranks = {k: int(v) for k, v in json.load(fh)["ranks"].items()}
     if method == "lora":
-        report = accounting.count_lora(spec, ranks if isinstance(ranks, int) else args.rank)
+        if args.rank_plan:
+            raise ConfigError("--rank-plan needs --method lamda; lora takes one --rank")
+        report = accounting.count_lora(spec, args.rank)
     elif method == "lamda":
+        ranks = args.rank
+        if args.rank_plan:
+            plan = read_json(args.rank_plan, ("ranks",))
+            ranks = {k: int(v) for k, v in plan["ranks"].items()}
         report = accounting.count_lamda_effective(spec, ranks, args.ti)
     else:
         raise ConfigError(f"count supports methods lora|lamda, got {method!r}")

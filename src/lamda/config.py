@@ -5,19 +5,14 @@ falls back to a default.
 """
 
 import json
+from dataclasses import fields
 
 from .errors import ConfigError
 from .model import ToyTransformerConfig
 from .train import TrainRunConfig
 
-_RUN_KEYS = {
-    "method", "task", "rank", "budget_ranks", "budget_target", "rank_plan",
-    "reverse_allocation", "alpha", "init_mode", "ti_fraction",
-    "literal_schedule", "total_steps", "lr", "beta1", "beta2", "adam_eps",
-    "batch_size", "seed", "adapted_kinds", "model",
-}
-_MODEL_KEYS = {"layers", "d_model", "heads", "ffn_dim", "vocab", "context",
-               "causal", "ln_eps"}
+_RUN_KEYS = {f.name for f in fields(TrainRunConfig)}
+_MODEL_KEYS = {f.name for f in fields(ToyTransformerConfig)}
 
 
 def run_config_from_dict(doc):
@@ -37,12 +32,21 @@ def run_config_from_dict(doc):
     return cfg
 
 
-def load_run_config(path):
+def read_json(path, required=()):
+    """The JSON object in `path`; malformed JSON, another JSON value or a
+    missing `required` key is a ConfigError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"run config {path} must be a JSON object")
-    return run_config_from_dict(doc)
+        raise ConfigError(f"{path} must hold a JSON object")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ConfigError(f"{path} has no {missing[0]!r} key")
+    return doc
+
+
+def load_run_config(path):
+    return run_config_from_dict(read_json(path))

@@ -115,10 +115,8 @@ def checkpoint_from_result(result):
         tensors[f"backbone/{name}"] = t.data
     trainable_rows = {}
     for module, st in result.model.adapters.items():
-        for attr in ("w_res", "a", "s", "b", "w"):
-            t = getattr(st, attr, None)
-            if t is not None:
-                tensors[f"adapter/{module}/{attr}"] = t.data
+        for attr, t in st.tensors().items():
+            tensors[f"adapter/{module}/{attr}"] = t.data
         rows = getattr(st, "trainable_rows", None)
         if rows is not None:
             trainable_rows[module] = rows

@@ -4,7 +4,7 @@ Post-norm residual blocks: X' = LayerNorm(X + MHSA(X)) and
 Y = LayerNorm(X' + FFN(X')), with GELU in the FFN and causal masking by
 default (disable via `causal=False` for encoder-style tests). Linear
 layers carry no bias. Adapted linear modules are addressed as
-"L{layer}.{kind}" with kind in {q, k, v, o, ffn1, ffn2}.
+"L{layer}.{kind}" with kind in `accounting.KINDS`.
 """
 
 import math
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accounting import KINDS, kind_shape
 from .errors import ConfigError, ShapeError
 from .tensor import (Tensor, add, attention, cross_entropy, dtype, embedding,
                      gelu, layer_norm, matmul)
@@ -43,11 +44,6 @@ class ToyTransformerConfig:
     def d_head(self):
         return self.d_model // self.heads
 
-    def kind_shape(self, kind):
-        d, f = self.d_model, self.ffn_dim
-        return {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
-                "ffn1": (d, f), "ffn2": (f, d)}[kind]
-
 
 class ToyTransformer:
     """Backbone parameters plus optional per-module adapters."""
@@ -74,12 +70,8 @@ class ToyTransformer:
             "head": lin(d, cfg.vocab),
         }
         for i in range(cfg.layers):
-            w[f"L{i}.q"] = lin(d, d)
-            w[f"L{i}.k"] = lin(d, d)
-            w[f"L{i}.v"] = lin(d, d)
-            w[f"L{i}.o"] = lin(d, d)
-            w[f"L{i}.ffn1"] = lin(d, f)
-            w[f"L{i}.ffn2"] = lin(f, d)
+            for kind in KINDS:
+                w[f"L{i}.{kind}"] = lin(*kind_shape(kind, d, f))
             for ln in ("ln1", "ln2"):
                 w[f"L{i}.{ln}.g"] = np.ones(d)
                 w[f"L{i}.{ln}.b"] = np.zeros(d)
@@ -95,7 +87,7 @@ class ToyTransformer:
         for t in self.params.values():
             t.requires_grad = trainable
 
-    def linear_module_ids(self, kinds=("q", "k", "v", "o", "ffn1", "ffn2")):
+    def linear_module_ids(self, kinds=KINDS):
         return [f"L{i}.{k}" for i in range(self.cfg.layers) for k in kinds]
 
     def linear(self, x, module):

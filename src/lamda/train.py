@@ -11,6 +11,7 @@ import numpy as np
 
 from . import allocator as _alloc
 from . import freezing as _freeze
+from .accounting import KINDS
 from .adapter import AdapterConfig, build_adapter, build_lora
 from .errors import ConfigError, NumericalError
 from .model import ToyTransformer, ToyTransformerConfig
@@ -46,6 +47,9 @@ class TrainRunConfig:
     def validate(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        for kind in self.adapted_kinds:
+            if kind not in KINDS:
+                raise ConfigError(f"unknown adapted kind {kind!r}; expected one of {KINDS}")
         if self.total_steps < 1:
             raise ConfigError("total_steps must be >= 1")
         if not 0.0 <= self.ti_fraction <= 1.0:
@@ -216,10 +220,7 @@ def _build_optimizer(model, cfg):
 def _param_ids(model):
     ids = {id(t) for t in model.params.values()}
     for st in model.adapters.values():
-        for attr in ("w_res", "a", "s", "b", "w"):
-            t = getattr(st, attr, None)
-            if t is not None:
-                ids.add(id(t))
+        ids.update(id(t) for t in st.tensors().values())
     return ids
 
 

@@ -103,6 +103,31 @@ class TestCount:
                        "--json", "-") == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    pytest.param("count-lora", '{"ranks": {"L0.q": 8}}', id="lora-given-a-plan"),
+    pytest.param("plan", "{not json", id="scores-not-json"),
+    pytest.param("count-lamda", "{not json", id="plan-not-json"),
+    pytest.param("plan", '{"scores": []}', id="scores-without-modules"),
+    pytest.param("count-lamda", '{"mean_rank": 8}', id="plan-without-ranks"),
+])
+def test_malformed_json_input_is_usage_error(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    budget = tmp_path / "budget.json"
+    budget.write_text(json.dumps({"ranks": [2, 4, 6], "target": 4}))
+    out = tmp_path / "out.json"
+    count = ["count", "--model-preset", "llama2-7b", "--rank-plan", str(bad), "--json", str(out)]
+    argv = {
+        "plan": ["plan", "--scores", str(bad), "--budget", str(budget), "--out", str(out)],
+        "count-lora": count + ["--method", "lora"],
+        "count-lamda": count + ["--method", "lamda"],
+    }[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def _run_config(tmp_path, **overrides):
     doc = {
         "method": "lamda", "task": "copy", "rank": 2, "total_steps": 8,
@@ -148,6 +173,13 @@ class TestFinetuneReport:
         code = run_cli("finetune", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["qq", "Q"])
+    def test_unknown_adapted_kind_is_usage_error(self, tmp_path, capsys, kind):
+        cfg = _run_config(tmp_path, adapted_kinds=["q", kind])
+        code = run_cli("finetune", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert repr(kind) in capsys.readouterr().err
 
     def test_invalid_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import io
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,3 +114,9 @@ def test_checkpoint_from_train_result(tmp_path):
     assert back_m == meta
     s = result.model.adapters["L0.q"].s.data
     assert back_t["adapter/L0.q/s"].tobytes() == s.tobytes()
+    assert [k for k in tensors if k.startswith("adapter/")] == [
+        "adapter/L0.q/w_res", "adapter/L0.q/a", "adapter/L0.q/s", "adapter/L0.q/b"]
+
+    lora, _ = checkpoint_from_result(train(replace(cfg, method="lora")))
+    assert [k for k in lora if k.startswith("adapter/")] == [
+        "adapter/L0.q/a", "adapter/L0.q/b", "adapter/L0.q/w"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lamda.accounting import KINDS, ModelSpec
 from lamda.adapter import AdapterConfig, build_adapter
 from lamda.errors import ConfigError, ShapeError
 from lamda.model import ToyTransformer, ToyTransformerConfig
@@ -11,6 +12,17 @@ def _small_cfg(**overrides):
     base = dict(layers=1, d_model=16, heads=2, ffn_dim=32, vocab=11, context=8)
     base.update(overrides)
     return ToyTransformerConfig(**base)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_weight_shape_matches_cost_model(kind):
+    d, f = 16, 40
+    want = {"q": (d, d), "k": (d, d), "v": (d, d), "o": (d, d),
+            "ffn1": (d, f), "ffn2": (f, d)}[kind]
+    spec = ModelSpec(name="toy", layers=1, d_model=d, ffn_dim=f, adapted_kinds=(kind,))
+    model = ToyTransformer(_small_cfg(ffn_dim=f))
+    assert dict(spec.modules()) == {f"L0.{kind}": want}
+    assert model.params[f"L0.{kind}"].data.shape == want
 
 
 def test_config_validation():
