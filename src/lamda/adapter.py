@@ -106,8 +106,12 @@ def kaiming_normal(rng, fan_in, shape):
     return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
 
 
-def build_adapter(w, cfg, seed=0):
-    """Construct an AdapterState from a pre-trained weight matrix."""
+def build_adapter(w, cfg, seed=0, dec=None):
+    """Construct an AdapterState from a pre-trained weight matrix.
+
+    `dec`, if given, is `svd(w)` already computed; spectral init then uses it
+    instead of decomposing `w` again.
+    """
     cfg.validate()
     w = np.asarray(w)
     if w.shape != tuple(cfg.shape):
@@ -121,7 +125,8 @@ def build_adapter(w, cfg, seed=0):
         s = np.zeros((r, r))  # zero core kills the adapter path at init
         w_res = w
     else:
-        dec = _svd.svd(w)
+        if dec is None:
+            dec = _svd.svd(w)
         split = (
             _svd.split_spectrum(dec, r)
             if cfg.init_mode == "spectral_top"

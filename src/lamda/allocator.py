@@ -10,7 +10,7 @@ mean assigned rank equals the target.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,11 @@ from .errors import ConfigError
 from .svd import energy_score, svd
 
 _MODULE_RE = re.compile(r"^L(\d+)\.(\w+)$")
+
+
+def is_json_int(value):
+    """True for a JSON integer (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,12 @@ class RankBudget:
         unknown = set(doc) - {"ranks", "target"}
         if unknown:
             raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
-        return cls(ranks=tuple(doc["ranks"]), target=int(doc["target"]))
+        ranks, target = doc["ranks"], doc["target"]
+        if not isinstance(ranks, list) or not all(is_json_int(r) for r in ranks):
+            raise ConfigError("budget 'ranks' must be a list of integers")
+        if not is_json_int(target):
+            raise ConfigError("budget 'target' must be an integer")
+        return cls(ranks=tuple(ranks), target=target)
 
 
 @dataclass
@@ -106,8 +116,12 @@ def score_from_sigma(module, sigma, budget):
     )
 
 
-def score_modules(weights, budget):
-    """Spectra and candidacy scores for a {module id: weight matrix} map."""
+def score_modules(weights, budget, decompositions=None):
+    """Spectra and candidacy scores for a {module id: weight matrix} map.
+
+    When `decompositions` is a dict, each weight's SVD is stored in it under
+    the module id, so a caller can reuse it instead of decomposing again.
+    """
     scores = []
     for module, w in weights.items():
         w = np.asarray(w)
@@ -115,7 +129,10 @@ def score_modules(weights, budget):
             raise ConfigError(
                 f"module {module!r}: rank {budget.ranks[-1]} exceeds min dim {min(w.shape)}"
             )
-        scores.append(score_from_sigma(module, svd(w).sigma, budget))
+        dec = svd(w)
+        if decompositions is not None:
+            decompositions[module] = dec
+        scores.append(score_from_sigma(module, dec.sigma, budget))
     return scores
 
 
@@ -162,4 +179,21 @@ def scores_to_json(scores):
 
 
 def scores_from_json(doc):
-    return [ModuleScore(**entry) for entry in doc["modules"]]
+    """ModuleScores from a scores document; an entry that lacks a field, has an
+    unknown one or holds a value of the wrong type is a ConfigError."""
+    entries = doc["modules"]
+    if not isinstance(entries, list):
+        raise ConfigError("'modules' must be a list of score objects")
+    specs = fields(ModuleScore)
+    names = [f.name for f in specs]
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or set(entry) != set(names):
+            raise ConfigError(f"'modules' entry {i} must be an object with the keys {names}")
+        for f in specs:
+            value = entry[f.name]
+            kind = (int, float) if f.type is float else f.type
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(
+                    f"'modules' entry {i}: {f.name!r} must be a {f.type.__name__}"
+                )
+    return [ModuleScore(**entry) for entry in entries]

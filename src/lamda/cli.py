@@ -91,8 +91,11 @@ def cmd_count(args):
     elif method == "lamda":
         ranks = args.rank
         if args.rank_plan:
-            plan = read_json(args.rank_plan, ("ranks",))
-            ranks = {k: int(v) for k, v in plan["ranks"].items()}
+            ranks = read_json(args.rank_plan, ("ranks",))["ranks"]
+            if not isinstance(ranks, dict) or not all(
+                allocator.is_json_int(r) for r in ranks.values()
+            ):
+                raise ConfigError(f"{args.rank_plan}: 'ranks' must be an object of integers")
         report = accounting.count_lamda_effective(spec, ranks, args.ti)
     else:
         raise ConfigError(f"count supports methods lora|lamda, got {method!r}")

@@ -21,11 +21,15 @@ def run_config_from_dict(doc):
         raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
     doc = dict(doc)
     model_doc = doc.pop("model", {})
+    if not isinstance(model_doc, dict):
+        raise ConfigError("run config key 'model' must be an object")
     unknown = set(model_doc) - _MODEL_KEYS
     if unknown:
         raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
     for key in ("budget_ranks", "adapted_kinds"):
         if key in doc:
+            if not isinstance(doc[key], (list, tuple)):
+                raise ConfigError(f"run config key {key!r} must be a list")
             doc[key] = tuple(doc[key])
     cfg = TrainRunConfig(model=ToyTransformerConfig(**model_doc), **doc)
     cfg.validate()

@@ -6,10 +6,16 @@ u64 dims, raw little-endian data. No alignment padding; names unique.
 
 Checkpoint ("LDCK"): magic, u16 version, u32 JSON metadata length, the
 UTF-8 JSON metadata, then an embedded weight container payload.
+
+A weight container ends its stream. Readers reject whatever does not
+parse as one: a short or overlong stream, a name that is not UTF-8, a
+shape numpy cannot hold or one larger than the bytes left (ConfigError),
+and non-finite data, which the writer refuses too (NumericalError).
 """
 
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -53,6 +59,10 @@ def _read_exact(fh, n, what):
 
 
 def read_weights_stream(fh):
+    """The tensors of the weight container that runs to the end of `fh`."""
+    start = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(start)
     if _read_exact(fh, 4, "magic") != WEIGHT_MAGIC:
         raise ConfigError("not a weight container (bad magic)")
     version, count = struct.unpack("<HI", _read_exact(fh, 6, "header"))
@@ -61,19 +71,33 @@ def read_weights_stream(fh):
     tensors = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-        name = _read_exact(fh, nlen, "name").decode("utf-8")
+        try:
+            name = _read_exact(fh, nlen, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError("tensor name is not valid UTF-8") from None
         code, ndim = struct.unpack("<BB", _read_exact(fh, 2, "tensor header"))
         if code not in _DTYPE_CODES:
             raise ConfigError(f"tensor {name!r}: unknown dtype code {code}")
-        dims = struct.unpack(
-            f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims")
-        ) if ndim else ()
+        dims = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
         dtype = _DTYPE_CODES[code]
-        n_items = int(np.prod(dims, dtype=np.int64)) if ndim else 1
-        raw = _read_exact(fh, n_items * dtype.itemsize, f"data of {name!r}")
+        nbytes = math.prod(dims) * dtype.itemsize
+        if nbytes > end - fh.tell():
+            raise ConfigError(
+                f"truncated container: tensor {name!r} of shape {dims} needs "
+                f"{nbytes} bytes, {end - fh.tell()} are left"
+            )
+        data = np.frombuffer(_read_exact(fh, nbytes, f"data of {name!r}"), dtype=dtype)
+        try:
+            data = data.reshape(dims)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"tensor {name!r}: shape {dims} is not an array shape") from None
         if name in tensors:
             raise ConfigError(f"duplicate tensor name {name!r}")
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+        if not np.isfinite(data).all():
+            raise NumericalError(f"tensor {name!r} holds non-finite values")
+        tensors[name] = data.copy()
+    if fh.tell() != end:
+        raise ConfigError(f"{end - fh.tell()} trailing bytes after the last tensor")
     return tensors
 
 
@@ -103,7 +127,10 @@ def load_checkpoint(path):
         version, mlen = struct.unpack("<HI", _read_exact(fh, 6, "header"))
         if version != FORMAT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version}")
-        meta = json.loads(_read_exact(fh, mlen, "metadata").decode("utf-8"))
+        try:
+            meta = json.loads(_read_exact(fh, mlen, "metadata").decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise ConfigError(f"checkpoint metadata is not UTF-8 JSON: {exc}") from None
         tensors = read_weights_stream(fh)
     return tensors, meta
 

@@ -143,8 +143,12 @@ def count_retained_activations(tape, param_ids):
     return int(sum(retained.values()))
 
 
-def resolve_ranks(cfg, backbone_weights, module_ids):
-    """Per-module adapter ranks for the configured method."""
+def resolve_ranks(cfg, backbone_weights, module_ids, decompositions=None):
+    """Per-module adapter ranks for the configured method.
+
+    A LaMDA++ budget scores each weight by its SVD; when `decompositions` is
+    a dict, those SVDs are stored in it by module id (see `score_modules`).
+    """
     if cfg.method in ("full",):
         return {}
     if cfg.method in ("lora", "lamda"):
@@ -156,7 +160,7 @@ def resolve_ranks(cfg, backbone_weights, module_ids):
         return {m: int(cfg.rank_plan[m]) for m in module_ids}
     budget = _alloc.RankBudget(ranks=tuple(cfg.budget_ranks), target=cfg.budget_target)
     scores = _alloc.score_modules(
-        {m: backbone_weights[m] for m in module_ids}, budget
+        {m: backbone_weights[m] for m in module_ids}, budget, decompositions
     )
     plan = _alloc.allocate(scores, budget, reverse=cfg.reverse_allocation)
     return plan.ranks
@@ -175,8 +179,13 @@ class TrainResult:
         return [row[1] for row in self.metrics]
 
 
-def attach_adapters(model, cfg, ranks):
-    """Build and install adapters on the (frozen) backbone; returns schedules."""
+def attach_adapters(model, cfg, ranks, decompositions=None):
+    """Build and install adapters on the (frozen) backbone; returns schedules.
+
+    `decompositions` maps module ids to SVDs of their backbone weights
+    already computed (by `resolve_ranks`); spectral init reuses them.
+    """
+    decompositions = decompositions or {}
     schedules = {}
     freeze_mode = "gradual" if cfg.ti_fraction > 0 else "lda_only"
     ti = int(round(cfg.ti_fraction * cfg.total_steps))
@@ -192,7 +201,9 @@ def attach_adapters(model, cfg, ranks):
                 rank=r, shape=w.shape, alpha=cfg.alpha,
                 init_mode=cfg.init_mode, freeze_mode=freeze_mode,
             )
-            model.adapters[module] = build_adapter(w, acfg, seed=cfg.seed * 7919 + i)
+            model.adapters[module] = build_adapter(
+                w, acfg, seed=cfg.seed * 7919 + i, dec=decompositions.get(module)
+            )
             schedules[module] = _freeze.FreezeSchedule(
                 rank=r, freeze_iters=ti, total_iters=cfg.total_steps,
                 literal_formula=cfg.literal_schedule,
@@ -230,8 +241,11 @@ def build_run(cfg, backbone_weights=None):
     model = ToyTransformer(cfg.model, weights=backbone_weights, seed=cfg.seed)
     model.set_backbone_trainable(False)
     module_ids = model.linear_module_ids(cfg.adapted_kinds)
-    ranks = resolve_ranks(cfg, {m: model.params[m].data for m in module_ids}, module_ids)
-    schedules = attach_adapters(model, cfg, ranks)
+    decompositions = {}
+    ranks = resolve_ranks(
+        cfg, {m: model.params[m].data for m in module_ids}, module_ids, decompositions
+    )
+    schedules = attach_adapters(model, cfg, ranks, decompositions)
     opt = _build_optimizer(model, cfg)
     return model, opt, schedules
 

@@ -2,9 +2,12 @@
 
 Nothing here imports the code paths under test: the matmul oracle is a
 triple loop, the eigensolver is a classical two-sided cyclic Jacobi on
-the symmetric Gram matrix, and gradients come from central finite
+the symmetric Gram matrix, the one-sided Jacobi sweep is the scalar
+rotation-at-a-time loop, and gradients come from central finite
 differences.
 """
+
+import math
 
 import numpy as np
 
@@ -86,6 +89,53 @@ def singular_values_ref(w):
     gram = w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
     eig = symeig_jacobi(gram)
     return np.sqrt(np.maximum(eig, 0.0))
+
+
+_TINY = 1e-300
+
+
+def jacobi_sweeps_cyclic_ref(at, vt, tol, max_sweeps):
+    """Orthogonalize the rows of `at` in place via Jacobi rotations.
+
+    `at` is the n x m transpose of the working matrix (rows = original
+    columns), `vt` the n x n transpose of the accumulated rotation
+    product. Returns (sweeps_used, worst_rel_offdiag_seen_last_sweep,
+    converged). A pair (p, q) counts as converged when
+    |<a_p, a_q>| / (|a_p| * |a_q|) <= tol.
+    """
+    n = at.shape[0]
+    worst = 0.0
+    for sweep in range(max_sweeps):
+        worst = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                app = np.dot(at[p], at[p])
+                aqq = np.dot(at[q], at[q])
+                apq = np.dot(at[p], at[q])
+                denom = math.sqrt(app * aqq)
+                if denom <= _TINY:
+                    continue
+                rel = abs(apq) / denom
+                if rel > worst:
+                    worst = rel
+                if rel <= tol:
+                    continue
+                tau = (aqq - app) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                new_p = c * at[p] - s * at[q]
+                at[q] = s * at[p] + c * at[q]
+                at[p] = new_p
+                new_vp = c * vt[p] - s * vt[q]
+                vt[q] = s * vt[p] + c * vt[q]
+                vt[p] = new_vp
+        if worst <= tol:
+            return sweep + 1, worst, True
+    return max_sweeps, worst, False
 
 
 def fd_grad(f, arr, h=1e-5):

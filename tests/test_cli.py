@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from lamda import cli, container
+from lamda import accounting, cli, container
 from lamda.errors import NumericalError
 
 
@@ -103,24 +103,51 @@ class TestCount:
                        "--json", "-") == 2
 
 
+_SCORE = {"module": "L0.q", "layer": 0, "kind": "q", "e_lo": 1.0, "e_hi": 3.0,
+          "e_target": 2.0, "score": 1.0}
+_LLAMA_PLAN = {m: 8 for m, _ in accounting.load_preset("llama2-7b").modules()}
+_TINY_RUN = {"total_steps": 1, "batch_size": 2,
+             "model": {"layers": 1, "d_model": 8, "heads": 2, "ffn_dim": 8,
+                       "vocab": 11, "context": 8}}
+
+
 @pytest.mark.parametrize("command, text", [
     pytest.param("count-lora", '{"ranks": {"L0.q": 8}}', id="lora-given-a-plan"),
     pytest.param("plan", "{not json", id="scores-not-json"),
     pytest.param("count-lamda", "{not json", id="plan-not-json"),
     pytest.param("plan", '{"scores": []}', id="scores-without-modules"),
     pytest.param("count-lamda", '{"mean_rank": 8}', id="plan-without-ranks"),
+    pytest.param("count-lamda", '{"ranks": [1, 2]}', id="plan-ranks-a-list"),
+    pytest.param("count-lamda", json.dumps({"ranks": dict(_LLAMA_PLAN, **{"L0.q": "8"})}),
+                 id="plan-rank-a-string"),
+    pytest.param("plan", '{"modules": [{"module": "L0.q"}]}', id="score-entry-lacks-fields"),
+    pytest.param("plan", json.dumps({"modules": [dict(_SCORE, score="high")]}),
+                 id="score-a-string"),
+    pytest.param("plan", json.dumps({"modules": [dict(_SCORE, rank=4)]}),
+                 id="score-entry-unknown-field"),
+    pytest.param("plan", '{"modules": {"L0.q": 1.0}}', id="scores-modules-an-object"),
+    pytest.param("plan-budget", '{"ranks": "246", "target": 4}', id="budget-ranks-a-string"),
+    pytest.param("finetune", json.dumps(dict(_TINY_RUN, adapted_kinds="qv")),
+                 id="adapted-kinds-a-string"),
+    pytest.param("finetune", json.dumps(dict(_TINY_RUN, method="lamda++", budget_ranks="246",
+                                             budget_target=4)),
+                 id="budget-ranks-a-string-in-run-config"),
 ])
 def test_malformed_json_input_is_usage_error(tmp_path, capsys, command, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     budget = tmp_path / "budget.json"
     budget.write_text(json.dumps({"ranks": [2, 4, 6], "target": 4}))
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"modules": [_SCORE]}))
     out = tmp_path / "out.json"
     count = ["count", "--model-preset", "llama2-7b", "--rank-plan", str(bad), "--json", str(out)]
     argv = {
         "plan": ["plan", "--scores", str(bad), "--budget", str(budget), "--out", str(out)],
+        "plan-budget": ["plan", "--scores", str(scores), "--budget", str(bad), "--out", str(out)],
         "count-lora": count + ["--method", "lora"],
         "count-lamda": count + ["--method", "lamda"],
+        "finetune": ["finetune", "--config", str(bad), "--out-dir", str(out)],
     }[command]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err

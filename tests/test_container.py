@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lamda.container import (checkpoint_from_result, load_checkpoint,
-                             read_weights, read_weights_stream,
-                             save_checkpoint, write_weights,
-                             write_weights_stream)
+from lamda.container import (CHECKPOINT_MAGIC, WEIGHT_MAGIC, checkpoint_from_result,
+                             load_checkpoint, read_weights, read_weights_stream,
+                             save_checkpoint, write_weights, write_weights_stream)
 from lamda.errors import ConfigError, NumericalError
 from lamda.model import ToyTransformerConfig
 from lamda.train import TrainRunConfig, train
@@ -94,6 +95,16 @@ def test_checkpoint_rejects_weight_file(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json"], ids=["not-utf8", "not-json"])
+def test_checkpoint_rejects_malformed_metadata(tmp_path, blob):
+    path = tmp_path / "c.ldck"
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<HI", 1, len(blob)) + blob)
+        write_weights_stream(fh, {"w": np.ones(1, dtype=np.float32)})
+    with pytest.raises(ConfigError, match="metadata"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_from_train_result(tmp_path):
     cfg = TrainRunConfig(
         method="lamda", task="copy", rank=2, total_steps=6, batch_size=2,
@@ -120,3 +131,58 @@ def test_checkpoint_from_train_result(tmp_path):
     lora, _ = checkpoint_from_result(train(replace(cfg, method="lora")))
     assert [k for k in lora if k.startswith("adapter/")] == [
         "adapter/L0.q/a", "adapter/L0.q/b", "adapter/L0.q/w"]
+
+
+def _container(name=b"w", ndim=None, dims=(2,), data=b"\x00" * 8, tail=b""):
+    """Hand-built one-tensor f32 container; each field may be malformed."""
+    ndim = len(dims) if ndim is None else ndim
+    return (WEIGHT_MAGIC + struct.pack("<HI", 1, 1) + struct.pack("<H", len(name)) + name
+            + struct.pack("<BB", 0, ndim) + struct.pack(f"<{len(dims)}Q", *dims) + data + tail)
+
+
+@pytest.mark.parametrize("raw, error, match", [
+    pytest.param(_container(dims=(2**62,)), ConfigError, "truncated", id="dim-2**62"),
+    pytest.param(_container(dims=(0, 2**64 - 1), data=b""), ConfigError, "shape",
+                 id="zero-size-dim-too-large"),
+    pytest.param(_container(dims=(1,) * 65, data=b"\x00" * 4), ConfigError, "shape",
+                 id="65-dims"),
+    pytest.param(_container(name=b"\xff\xfe"), ConfigError, "UTF-8", id="name-not-utf8"),
+    pytest.param(_container(tail=b"\x00"), ConfigError, "trailing", id="trailing-byte"),
+    pytest.param(_container(data=np.array([1.0, np.nan], dtype="<f4").tobytes()),
+                 NumericalError, "non-finite", id="nan-tensor"),
+    pytest.param(_container(data=np.array([np.inf, 1.0], dtype="<f4").tobytes()),
+                 NumericalError, "non-finite", id="inf-tensor"),
+])
+def test_malformed_container_is_rejected(raw, error, match):
+    with pytest.raises(error, match=match):
+        read_weights_stream(io.BytesIO(raw))
+
+
+def test_hand_built_container_reads():
+    assert read_weights_stream(io.BytesIO(_container()))["w"].tobytes() == b"\x00" * 8
+
+
+def _valid_bytes():
+    buf = io.BytesIO()
+    write_weights_stream(buf, _tensors())
+    return buf.getvalue()
+
+
+_VALID = _valid_bytes()
+_corrupted = st.tuples(st.integers(0, len(_VALID) - 1), st.integers(0, 255)).map(
+    lambda at: _VALID[:at[0]] + bytes([at[1]]) + _VALID[at[0] + 1:])
+_truncated = st.integers(0, len(_VALID) - 1).map(lambda n: _VALID[:n])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=256), _corrupted, _truncated))
+@example(_VALID)
+@example(WEIGHT_MAGIC + struct.pack("<HI", 1, 2**32 - 1))
+def test_any_bytes_give_tensors_or_a_documented_error(raw):
+    """Whatever the bytes, reading ends in tensors, ConfigError or NumericalError."""
+    try:
+        tensors = read_weights_stream(io.BytesIO(raw))
+    except (ConfigError, NumericalError):
+        return
+    for arr in tensors.values():
+        assert arr.dtype in (np.float32, np.float64) and np.all(np.isfinite(arr))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import oracles
 from lamda import kernels
@@ -102,3 +103,61 @@ def test_default_uses_numba_when_available():
             "from lamda.svd import jacobi_sweeps as used; "
             "assert used is kernel",
             LDA_NO_NUMBA=None)
+
+
+def _rng_normal(seed, shape):
+    return np.random.default_rng(seed).normal(size=shape)
+
+
+def _with_nan():
+    w = _rng_normal(11, (10, 7))
+    w[3, 2] = np.nan
+    return w
+
+
+def _signed_zeros():
+    w = np.zeros((9, 6))
+    w[::2] = -0.0
+    return w
+
+
+def _svd_operands(w):
+    """The `at` that svd hands the kernel for weight w."""
+    work = w.T if w.shape[1] > w.shape[0] else w
+    return np.array(work.T, order="C", copy=True)
+
+
+# (at, max_sweeps): svd's operands for a weight, or a raw `at`.
+_ORACLE_CASES = {
+    "toy-64x64": (_svd_operands(_rng_normal(20, (64, 64))), 60),
+    "toy-64x256": (_svd_operands(_rng_normal(21, (64, 256))), 60),
+    "toy-256x64": (_svd_operands(_rng_normal(22, (256, 64))), 60),
+    "odd-n-13x9": (_svd_operands(_rng_normal(23, (13, 9))), 60),
+    "n1": (_svd_operands(_rng_normal(24, (5, 1))), 60),
+    "n2": (_svd_operands(_rng_normal(25, (2, 6))), 60),
+    "n3": (_svd_operands(_rng_normal(26, (3, 3))), 60),
+    "rank-deficient": (_svd_operands(_rng_normal(27, (30, 4)) @ _rng_normal(28, (4, 12))), 60),
+    "zero": (_svd_operands(_signed_zeros()), 60),
+    "diagonal-signed-zeros": (_svd_operands(-np.diag(np.arange(1.0, 7.0))), 60),
+    "nan-entry": (_svd_operands(_with_nan()), 60),
+    "rows-of-length-1": (np.array([[2.0], [-0.0], [1e300], [-3.0]]), 60),
+    "max-sweeps-0": (_svd_operands(_rng_normal(29, (12, 8))), 0),
+    "max-sweeps-1": (_svd_operands(_rng_normal(30, (40, 16))), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_kernel_bitwise_equals_cyclic_loop(case):
+    """The wavefront kernel gives the scalar cyclic loop's factors, sweep
+    count, worst off-diagonal and convergence flag, bit for bit."""
+    at0, max_sweeps = _ORACLE_CASES[case]
+    runs = []
+    for sweeps_fn in (kernels.jacobi_sweeps, oracles.jacobi_sweeps_cyclic_ref):
+        at, vt = at0.copy(), np.eye(at0.shape[0])
+        with np.errstate(all="ignore"):
+            sweeps, worst, converged = sweeps_fn(at, vt, 1e-12, max_sweeps)
+        runs.append((_sha256(at), _sha256(vt), sweeps,
+                     np.float64(worst).tobytes(), bool(converged)))
+    assert runs[0] == runs[1]
+    if case == "max-sweeps-1":
+        assert not runs[1][4]  # stops mid-way, not converged

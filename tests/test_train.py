@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from lamda.adapter import AdapterConfig, build_adapter
 from lamda.errors import ConfigError
 from lamda.model import ToyTransformerConfig
 from lamda.tasks import IGNORE, make_task
@@ -134,6 +137,35 @@ class TestResolveRanks:
                              model=SMALL)
         ranks = resolve_ranks(cfg, weights, list(weights))
         assert sorted(ranks.values())[0] >= 2 and len(ranks) == 4
+
+    def test_lamdapp_decomposes_each_weight_once(self, monkeypatch, toy_cfg):
+        """Budget scoring and spectral init share one SVD per adapted weight."""
+        svd_module = sys.modules["lamda.svd"]  # `lamda.svd` names the function
+        kernel = svd_module.jacobi_sweeps
+        calls = []
+
+        def counting_kernel(*args):
+            calls.append(args[0].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(svd_module, "jacobi_sweeps", counting_kernel)
+        cfg = TrainRunConfig(method="lamda++", budget_ranks=(4, 8, 12), budget_target=8,
+                             total_steps=1, batch_size=2, model=toy_cfg)
+        train(cfg)
+        assert len(calls) == 10  # 2 layers x 5 adapted kinds
+
+        model, _, _ = build_run(cfg)
+        modules = sorted(model.adapters)
+        ranks = {m: model.adapters[m].config.rank for m in modules}
+        assert sorted(set(ranks.values())) == [4, 8, 12]
+        for i, module in enumerate(modules):
+            w = model.params[module].data
+            want = build_adapter(w, AdapterConfig(rank=ranks[module], shape=w.shape),
+                                 seed=cfg.seed * 7919 + i)
+            got = model.adapters[module]
+            assert list(got.tensors()) == list(want.tensors())
+            for name, t in want.tensors().items():
+                assert got.tensors()[name].data.tobytes() == t.data.tobytes(), (module, name)
 
 
 class TestTraining:
