@@ -9,9 +9,10 @@ plus the always-trainable core.
 """
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 
+from .config import from_json
 from .errors import ConfigError
 
 # The adapted linear modules of one transformer layer, in the order the toy
@@ -36,13 +37,12 @@ class ModelSpec:
     layers: int
     d_model: int
     ffn_dim: int
-    adapted_kinds: tuple
+    adapted_kinds: tuple[str, ...]
     seq_len: int = 1024
     batch: int = 1
     bytes_per_scalar: int = 4
 
     def __post_init__(self):
-        self.adapted_kinds = tuple(k.lower() for k in self.adapted_kinds)
         if not self.adapted_kinds:
             raise ConfigError("adapted_kinds must be non-empty")
         for k in self.adapted_kinds:
@@ -58,20 +58,13 @@ class ModelSpec:
             for kind in self.adapted_kinds:
                 yield f"L{layer}.{kind}", kind_shape(kind, self.d_model, self.ffn_dim)
 
-    @classmethod
-    def from_json(cls, doc):
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown model spec keys: {sorted(unknown)}")
-        return cls(**{k: (tuple(v) if k == "adapted_kinds" else v) for k, v in doc.items()})
-
 
 def load_preset(name):
     try:
         text = resources.files("lamda.presets").joinpath(f"{name}.json").read_text()
     except FileNotFoundError:
         raise ConfigError(f"unknown model preset {name!r}") from None
-    return ModelSpec.from_json(json.loads(text))
+    return from_json(ModelSpec, json.loads(text), f"preset {name!r}")
 
 
 def list_presets():
@@ -91,17 +84,6 @@ class CostReport:
     gradient_bytes: float
     activation_floats: dict  # line item -> floats stored per step
     per_module: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "method": self.method,
-            "trainable_params": self.trainable_params,
-            "effective_params": self.effective_params,
-            "optimizer_state_bytes": self.optimizer_state_bytes,
-            "gradient_bytes": self.gradient_bytes,
-            "activation_floats": self.activation_floats,
-            "per_module": self.per_module,
-        }
 
     def csv_rows(self):
         header = ["module", "trainable_params", "effective_params", "activation_floats"]

@@ -10,7 +10,7 @@ mean assigned rank equals the target.
 """
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,18 +21,13 @@ from .svd import energy_score, svd
 _MODULE_RE = re.compile(r"^L(\d+)\.(\w+)$")
 
 
-def is_json_int(value):
-    """True for a JSON integer (a bool is not one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RankBudget:
-    ranks: tuple  # strictly ascending candidate ranks
+    ranks: tuple[int, ...]  # strictly ascending candidate ranks
     target: int  # required mean rank
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(self.ranks)
         object.__setattr__(self, "ranks", ranks)
         if not ranks or ranks[0] < 1:
             raise ConfigError("candidate ranks must be positive")
@@ -42,18 +37,6 @@ class RankBudget:
             raise ConfigError(
                 f"candidate ranks {ranks} do not average to target {self.target}"
             )
-
-    @classmethod
-    def from_json(cls, doc):
-        unknown = set(doc) - {"ranks", "target"}
-        if unknown:
-            raise ConfigError(f"unknown budget keys: {sorted(unknown)}")
-        ranks, target = doc["ranks"], doc["target"]
-        if not isinstance(ranks, list) or not all(is_json_int(r) for r in ranks):
-            raise ConfigError("budget 'ranks' must be a list of integers")
-        if not is_json_int(target):
-            raise ConfigError("budget 'target' must be an integer")
-        return cls(ranks=tuple(ranks), target=target)
 
 
 @dataclass
@@ -69,16 +52,9 @@ class ModuleScore:
 
 @dataclass
 class RankPlan:
-    ranks: dict  # module -> assigned rank
+    ranks: dict[str, int]  # module -> assigned rank
     mean_rank: float
-    order: list = field(default_factory=list)  # module ids, ascending nu
-
-    def to_json(self):
-        return {"ranks": self.ranks, "mean_rank": self.mean_rank, "order": self.order}
-
-    @classmethod
-    def from_json(cls, doc):
-        return cls(ranks=dict(doc["ranks"]), mean_rank=doc["mean_rank"], order=list(doc.get("order", [])))
+    order: list[str] = field(default_factory=list)  # module ids, ascending nu
 
 
 def parse_module_id(module):
@@ -160,40 +136,3 @@ def allocate(scores, budget, reverse=False):
     mean = sum(ranks.values()) / n
     return RankPlan(ranks=ranks, mean_rank=mean, order=[m.module for m in ordered])
 
-
-def scores_to_json(scores):
-    return {
-        "modules": [
-            {
-                "module": m.module,
-                "layer": m.layer,
-                "kind": m.kind,
-                "e_lo": m.e_lo,
-                "e_hi": m.e_hi,
-                "e_target": m.e_target,
-                "score": m.score,
-            }
-            for m in scores
-        ]
-    }
-
-
-def scores_from_json(doc):
-    """ModuleScores from a scores document; an entry that lacks a field, has an
-    unknown one or holds a value of the wrong type is a ConfigError."""
-    entries = doc["modules"]
-    if not isinstance(entries, list):
-        raise ConfigError("'modules' must be a list of score objects")
-    specs = fields(ModuleScore)
-    names = [f.name for f in specs]
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != set(names):
-            raise ConfigError(f"'modules' entry {i} must be an object with the keys {names}")
-        for f in specs:
-            value = entry[f.name]
-            kind = (int, float) if f.type is float else f.type
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ConfigError(
-                    f"'modules' entry {i}: {f.name!r} must be a {f.type.__name__}"
-                )
-    return [ModuleScore(**entry) for entry in entries]

@@ -8,9 +8,10 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import accounting, allocator, container
-from .config import load_run_config, read_json
+from .config import from_json, load_run_config, read_json
 from .svd import energy_score, svd
 from .errors import ConfigError, LamdaError, NumericalError
 from .train import train
@@ -52,7 +53,7 @@ def cmd_analyze(args):
     sigmas = {n: svd(matrices[n]).sigma for n in names}
 
     scores = [allocator.score_from_sigma(n, sigmas[n], budget) for n in names]
-    _write_json(args.scores_out, allocator.scores_to_json(scores))
+    _write_json(args.scores_out, {"modules": [asdict(m) for m in scores]})
 
     if args.energy_csv:
         with open(args.energy_csv, "w", newline="", encoding="utf-8") as fh:
@@ -71,10 +72,11 @@ def cmd_analyze(args):
 
 
 def cmd_plan(args):
-    scores = allocator.scores_from_json(read_json(args.scores, ("modules",)))
-    budget = allocator.RankBudget.from_json(read_json(args.budget, ("ranks", "target")))
+    doc = read_json(args.scores, ("modules",))
+    scores = from_json(list[allocator.ModuleScore], doc["modules"], f"{args.scores}['modules']")
+    budget = from_json(allocator.RankBudget, read_json(args.budget), args.budget)
     plan = allocator.allocate(scores, budget, reverse=args.reverse)
-    _write_json(args.out, plan.to_json())
+    _write_json(args.out, asdict(plan))
     return 0
 
 
@@ -91,15 +93,12 @@ def cmd_count(args):
     elif method == "lamda":
         ranks = args.rank
         if args.rank_plan:
-            ranks = read_json(args.rank_plan, ("ranks",))["ranks"]
-            if not isinstance(ranks, dict) or not all(
-                allocator.is_json_int(r) for r in ranks.values()
-            ):
-                raise ConfigError(f"{args.rank_plan}: 'ranks' must be an object of integers")
+            doc = read_json(args.rank_plan, ("ranks",))
+            ranks = from_json(dict[str, int], doc["ranks"], f"{args.rank_plan}['ranks']")
         report = accounting.count_lamda_effective(spec, ranks, args.ti)
     else:
         raise ConfigError(f"count supports methods lora|lamda, got {method!r}")
-    _write_json(args.json, report.to_json())
+    _write_json(args.json, asdict(report))
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(report.csv_rows())

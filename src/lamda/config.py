@@ -1,37 +1,62 @@
-"""Run configuration files: strict JSON -> TrainRunConfig.
+"""JSON inputs: each record's dataclass fields are its JSON schema.
 
-Unknown keys are rejected before any compute so a typo never silently
-falls back to a default.
+Every JSON document the package reads (run configs, rank budgets, score
+files, the ranks of a plan and the bundled model presets) becomes a typed
+record through `from_json`. An unknown key, a missing key without a
+default, or a value whose JSON type does not match the field's annotation
+is a ConfigError naming the file and the key path, raised before any
+compute, so a typo never silently falls back to a default. No value is
+converted: the record holds exactly what the document holds.
 """
 
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
+from typing import get_args, get_origin
 
 from .errors import ConfigError
-from .model import ToyTransformerConfig
-from .train import TrainRunConfig
 
-_RUN_KEYS = {f.name for f in fields(TrainRunConfig)}
-_MODEL_KEYS = {f.name for f in fields(ToyTransformerConfig)}
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def run_config_from_dict(doc):
-    unknown = set(doc) - _RUN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
-    doc = dict(doc)
-    model_doc = doc.pop("model", {})
-    if not isinstance(model_doc, dict):
-        raise ConfigError("run config key 'model' must be an object")
-    unknown = set(model_doc) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-    for key in ("budget_ranks", "adapted_kinds"):
-        if key in doc:
-            if not isinstance(doc[key], (list, tuple)):
-                raise ConfigError(f"run config key {key!r} must be a list")
-            doc[key] = tuple(doc[key])
-    cfg = TrainRunConfig(model=ToyTransformerConfig(**model_doc), **doc)
+def from_json(tp, value, where):
+    """`value`, parsed JSON, as a `tp`; `where` names it in errors.
+
+    `tp` is a dataclass, `bool`, `int`, `float`, `str`, or `tuple[T, ...]`,
+    `list[T]` or `dict[str, T]` of these. A dataclass is built from an
+    object key by key, recursing into its fields' annotations. A bool is
+    never an int, and a float field takes an int as it is.
+    """
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        known = {f.name: f for f in fields(tp)}
+        unknown = sorted(set(value) - set(known))
+        if unknown:
+            raise ConfigError(f"{where} has unknown keys {unknown}")
+        for f in known.values():
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where} has no {f.name!r} key")
+        return tp(**{k: from_json(known[k].type, v, f"{where}[{k!r}]") for k, v in value.items()})
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (tuple, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        return origin(from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        return {k: from_json(args[1], v, f"{where}[{k!r}]") for k, v in value.items()}
+    ok = isinstance(value, (int, float) if tp is float else tp)
+    if not ok or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{where} must be {_SCALARS[tp]}, got {value!r}")
+    return value
+
+
+def run_config_from_dict(doc, where="run config"):
+    # Imported here: train imports accounting, which imports this module.
+    from .train import TrainRunConfig
+
+    cfg = from_json(TrainRunConfig, doc, where)
     cfg.validate()
     return cfg
 
@@ -53,4 +78,4 @@ def read_json(path, required=()):
 
 
 def load_run_config(path):
-    return run_config_from_dict(read_json(path))
+    return run_config_from_dict(read_json(path), str(path))

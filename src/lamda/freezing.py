@@ -3,8 +3,7 @@
 Rows freeze last-index-first on a linear ramp: round(r * (1 - t/t_i))
 rows remain trainable before the horizon t_i, zero afterwards. Rounding
 to nearest (rather than floor) keeps the schedule's time average equal
-to the analytical effective-parameter count; the literal truncating
-variant is available behind `literal_formula` for comparison.
+to the analytical effective-parameter count.
 """
 
 import math
@@ -18,7 +17,6 @@ class FreezeSchedule:
     rank: int
     freeze_iters: int  # t_i; 0 means the up-projection is never trainable
     total_iters: int
-    literal_formula: bool = False
 
     def __post_init__(self):
         if self.rank < 1:
@@ -35,8 +33,6 @@ def trainable_rows(sched, t):
         raise ContractError(f"iteration {t} outside [0, {sched.total_iters}]")
     if sched.freeze_iters == 0 or t >= sched.freeze_iters:
         return 0
-    if sched.literal_formula:
-        return max(0, int(sched.rank - t / sched.freeze_iters))
     return int(math.floor(sched.rank * (1.0 - t / sched.freeze_iters) + 0.5))
 
 

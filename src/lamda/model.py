@@ -35,14 +35,13 @@ class ToyTransformerConfig:
     ln_eps: float = 1e-5
 
     def __post_init__(self):
+        for key in ("layers", "d_model", "heads", "ffn_dim", "vocab", "context"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model {key} must be >= 1, got {getattr(self, key)}")
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}"
             )
-
-    @property
-    def d_head(self):
-        return self.d_model // self.heads
 
 
 class ToyTransformer:

@@ -26,14 +26,13 @@ class TrainRunConfig:
     method: str = "lamda"
     task: str = "copy"
     rank: int = 8
-    budget_ranks: tuple = ()  # lamda++ candidate ranks
+    budget_ranks: tuple[int, ...] = ()  # lamda++ candidate ranks
     budget_target: int = 0
-    rank_plan: dict = field(default_factory=dict)  # explicit module -> rank
+    rank_plan: dict[str, int] = field(default_factory=dict)  # explicit module -> rank
     reverse_allocation: bool = False
     alpha: float = 1.0
     init_mode: str = "spectral_top"
     ti_fraction: float = 0.3
-    literal_schedule: bool = False
     total_steps: int = 2000
     lr: float = 1e-3
     beta1: float = 0.9
@@ -41,7 +40,7 @@ class TrainRunConfig:
     adam_eps: float = 1e-8
     batch_size: int = 8
     seed: int = 0
-    adapted_kinds: tuple = ("q", "k", "v", "ffn1", "ffn2")
+    adapted_kinds: tuple[str, ...] = ("q", "k", "v", "ffn1", "ffn2")
     model: ToyTransformerConfig = field(default_factory=ToyTransformerConfig)
 
     def validate(self):
@@ -50,8 +49,11 @@ class TrainRunConfig:
         for kind in self.adapted_kinds:
             if kind not in KINDS:
                 raise ConfigError(f"unknown adapted kind {kind!r}; expected one of {KINDS}")
-        if self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
+        for key, low in (("total_steps", 1), ("batch_size", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be > 0, got {self.lr}")
         if not 0.0 <= self.ti_fraction <= 1.0:
             raise ConfigError(f"ti_fraction {self.ti_fraction} outside [0, 1]")
         if self.method == "lamda++" and not (self.budget_ranks or self.rank_plan):
@@ -65,8 +67,9 @@ class TrainRunConfig:
 
 
 class Adam:
-    """Adam with optional row masking: only rows < live receive updates and
-    keep moment buffers, so frozen rows stay bitwise untouched."""
+    """Adam with row masking: only rows < live receive updates and keep
+    moment buffers, so frozen rows stay bitwise untouched. A parameter
+    added without `live_rows` has every row live."""
 
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
@@ -76,7 +79,7 @@ class Adam:
     def add_param(self, name, tensor, live_rows=None):
         self.slots[name] = {
             "tensor": tensor,
-            "live": live_rows,
+            "live": tensor.data.shape[0] if live_rows is None else live_rows,
             "m": np.zeros_like(tensor.data),
             "v": np.zeros_like(tensor.data),
         }
@@ -92,8 +95,7 @@ class Adam:
         total = 0
         for slot in self.slots.values():
             data = slot["tensor"].data
-            rows = data.shape[0] if slot["live"] is None else slot["live"]
-            total += rows * (data.size // data.shape[0]) if data.ndim else data.size
+            total += slot["live"] * (data.size // data.shape[0])
         return total
 
     def step(self):
@@ -102,26 +104,17 @@ class Adam:
         bc2 = 1.0 - self.beta2 ** self.t
         for slot in self.slots.values():
             tensor = slot["tensor"]
-            g = tensor.grad
-            if g is None:
-                continue
             live = slot["live"]
-            if live is not None:
-                if live == 0:
-                    continue
-                g = g[:live]
-                m, v = slot["m"][:live], slot["v"][:live]
-            else:
-                m, v = slot["m"], slot["v"]
+            if tensor.grad is None or live == 0:
+                continue
+            g = tensor.grad[:live]
+            m, v = slot["m"][:live], slot["v"][:live]
             m += (1.0 - self.beta1) * (g - m)
             v += (1.0 - self.beta2) * (g * g - v)
             upd = (self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(
                 tensor.data.dtype
             )
-            if live is not None:
-                tensor.data[:live] -= upd
-            else:
-                tensor.data -= upd
+            tensor.data[:live] -= upd
 
     def zero_grad(self):
         for slot in self.slots.values():
@@ -205,9 +198,7 @@ def attach_adapters(model, cfg, ranks, decompositions=None):
                 w, acfg, seed=cfg.seed * 7919 + i, dec=decompositions.get(module)
             )
             schedules[module] = _freeze.FreezeSchedule(
-                rank=r, freeze_iters=ti, total_iters=cfg.total_steps,
-                literal_formula=cfg.literal_schedule,
-            )
+                rank=r, freeze_iters=ti, total_iters=cfg.total_steps)
     return schedules
 
 

@@ -3,8 +3,8 @@
 Nothing here imports the code paths under test: the matmul oracle is a
 triple loop, the eigensolver is a classical two-sided cyclic Jacobi on
 the symmetric Gram matrix, the one-sided Jacobi sweep is the scalar
-rotation-at-a-time loop, and gradients come from central finite
-differences.
+rotation-at-a-time loop, Adam keeps separate dense and row-masked
+update paths, and gradients come from central finite differences.
 """
 
 import math
@@ -168,3 +168,61 @@ def quantile_assignment_ref(sorted_modules, ranks_ascending):
                 out[module] = desc[q]
                 break
     return out
+
+
+class AdamTwoPathRef:
+    """Adam with a dense path for parameters added without live rows and a
+    row-masked path for the rest; the package's optimizer must match it
+    bit for bit."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.slots = {}
+
+    def add_param(self, name, tensor, live_rows=None):
+        self.slots[name] = {"tensor": tensor, "live": live_rows,
+                            "m": np.zeros_like(tensor.data), "v": np.zeros_like(tensor.data)}
+
+    def set_live_rows(self, name, rows):
+        slot = self.slots[name]
+        slot["live"] = rows
+        slot["m"][rows:] = 0.0
+        slot["v"][rows:] = 0.0
+        slot["tensor"].requires_grad = rows > 0
+
+    def live_scalars(self):
+        total = 0
+        for slot in self.slots.values():
+            data = slot["tensor"].data
+            rows = data.shape[0] if slot["live"] is None else slot["live"]
+            total += rows * (data.size // data.shape[0])
+        return total
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for slot in self.slots.values():
+            tensor, live = slot["tensor"], slot["live"]
+            g = tensor.grad
+            if g is None or live == 0:
+                continue
+            if live is None:
+                m, v = slot["m"], slot["v"]
+            else:
+                g = g[:live]
+                m, v = slot["m"][:live], slot["v"][:live]
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            upd = (self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(
+                tensor.data.dtype
+            )
+            if live is None:
+                tensor.data -= upd
+            else:
+                tensor.data[:live] -= upd
+
+    def zero_grad(self):
+        for slot in self.slots.values():
+            slot["tensor"].grad = None

@@ -1,9 +1,12 @@
+from dataclasses import asdict
+
 import pytest
 
 from lamda.accounting import (CostReport, ModelSpec, activation_footprint,
                               count_lamda_effective, count_lora,
                               list_presets, live_trainable_params,
                               load_preset, optimizer_state_bytes)
+from lamda.config import from_json
 from lamda.errors import ConfigError
 
 
@@ -25,8 +28,8 @@ class TestPresets:
 
     def test_from_json_rejects_extras(self):
         with pytest.raises(ConfigError, match="unknown"):
-            ModelSpec.from_json({"name": "x", "layers": 1, "d_model": 8,
-                                 "ffn_dim": 16, "adapted_kinds": ["q"], "foo": 1})
+            from_json(ModelSpec, {"name": "x", "layers": 1, "d_model": 8,
+                                  "ffn_dim": 16, "adapted_kinds": ["q"], "foo": 1}, "spec")
 
     def test_bad_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -139,7 +142,7 @@ def test_report_serialization():
     spec = ModelSpec(name="x", layers=1, d_model=8, ffn_dim=16,
                      adapted_kinds=("q",), seq_len=4, batch=1)
     rep = count_lamda_effective(spec, 2, 0.5)
-    doc = rep.to_json()
+    doc = asdict(rep)
     assert doc["method"] == "lamda"
     assert doc["per_module"][0]["module"] == "L0.q"
     rows = rep.csv_rows()

@@ -1,13 +1,19 @@
+import json
+import os
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lamda.allocator import (RankBudget, RankPlan, allocate, parse_module_id,
-                             score_from_sigma, score_modules, scores_from_json,
-                             scores_to_json)
+from lamda.accounting import ModelSpec, list_presets, load_preset
+from lamda.allocator import (ModuleScore, RankBudget, RankPlan, allocate,
+                             parse_module_id, score_from_sigma, score_modules)
+from lamda.config import from_json, load_run_config
 from lamda.errors import ConfigError
+from lamda.train import TrainRunConfig
 
 BUDGET = RankBudget(ranks=(16, 24, 32, 40, 48), target=32)
 
@@ -41,7 +47,7 @@ class TestRankBudget:
 
     def test_from_json_rejects_extras(self):
         with pytest.raises(ConfigError, match="unknown"):
-            RankBudget.from_json({"ranks": [16, 48], "target": 32, "mode": "x"})
+            from_json(RankBudget, {"ranks": [16, 48], "target": 32, "mode": "x"}, "budget")
 
 
 class TestScoring:
@@ -141,10 +147,20 @@ class TestAllocate:
         assert plan.ranks == want
 
 
+def _through_json(doc):
+    return json.loads(json.dumps(doc))
+
+
 def test_json_round_trips():
+    # What the writers emit (`asdict`) reads back to an equal record.
     scores = _synthetic_scores(12, seed=9)
-    back = scores_from_json(scores_to_json(scores))
-    assert [s.__dict__ for s in back] == [s.__dict__ for s in scores]
+    back = from_json(list[ModuleScore], _through_json([asdict(m) for m in scores]), "scores")
+    assert back == scores
     plan = allocate(scores, BUDGET)
-    again = RankPlan.from_json(plan.to_json())
-    assert again.ranks == plan.ranks and again.order == plan.order
+    assert from_json(RankPlan, _through_json(asdict(plan)), "plan") == plan
+    for name in list_presets():
+        spec = load_preset(name)
+        assert from_json(ModelSpec, _through_json(asdict(spec)), name) == spec
+    cfg = load_run_config(os.path.join(os.path.dirname(__file__), "data", "golden_config.json"))
+    again = from_json(TrainRunConfig, _through_json(asdict(cfg)), "golden")
+    assert again == cfg and again.digest() == cfg.digest()

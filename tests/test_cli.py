@@ -155,6 +155,29 @@ def test_malformed_json_input_is_usage_error(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
+_LAMDAPP = {"method": "lamda++", "budget_ranks": [2, 4, 6], "budget_target": 4}
+# (key path, bad value, other overrides): a wrong JSON type, then an out-of-range value.
+_BAD_RUN_VALUES = [
+    ("rank", "8", {}),
+    ("total_steps", 2.5, {}),
+    ("lr", "0.1", {}),
+    ("ti_fraction", "0.3", {}),
+    ("reverse_allocation", "no", _LAMDAPP),
+    ("budget_ranks", ["4", "8", "12"], dict(_LAMDAPP, budget_target=8)),
+    ("rank_plan", {"L0.q": True, "L0.v": 2}, {"method": "lamda++"}),
+    ("model.d_model", "64", {}),
+    ("model.causal", 1, {}),
+    ("seed", -1, {}),
+    ("batch_size", -2, {}),
+    ("batch_size", 0, {}),
+    ("lr", -1, {}),
+    ("model.heads", 0, {}),
+    ("model.d_model", 0, {}),
+    ("model.ffn_dim", 0, {}),
+    ("model.layers", 0, {}),
+]
+
+
 def _run_config(tmp_path, **overrides):
     doc = {
         "method": "lamda", "task": "copy", "rank": 2, "total_steps": 8,
@@ -200,6 +223,20 @@ class TestFinetuneReport:
         code = run_cli("finetune", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, extra", _BAD_RUN_VALUES,
+                             ids=[f"{k}-{json.dumps(v, separators=(',', ':'))}"
+                                  for k, v, _ in _BAD_RUN_VALUES])
+    def test_bad_run_config_value_is_usage_error(self, tmp_path, capsys, key, value, extra):
+        doc = json.loads(_run_config(tmp_path, **extra).read_text())
+        section, _, leaf = key.rpartition(".")
+        (doc[section] if section else doc)[leaf] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("finetune", "--config", str(cfg), "--out-dir", str(out)) == 2
+        assert leaf in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["qq", "Q"])
     def test_unknown_adapted_kind_is_usage_error(self, tmp_path, capsys, kind):

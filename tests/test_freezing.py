@@ -16,19 +16,12 @@ def test_endpoints():
 def test_halfway():
     sched = FreezeSchedule(rank=8, freeze_iters=100, total_iters=200)
     assert trainable_rows(sched, 50) == 4
+    assert trainable_rows(sched, 30) == 6  # round(8 * 0.7) = round(5.6)
 
 
 def test_zero_horizon_never_trains_b():
     sched = FreezeSchedule(rank=8, freeze_iters=0, total_iters=200)
     assert trainable_rows(sched, 0) == 0
-
-
-def test_literal_variant_truncates():
-    lit = FreezeSchedule(rank=8, freeze_iters=100, total_iters=200, literal_formula=True)
-    # int(8 - 30/100) = 7 while the proportional ramp gives round(5.6) = 6
-    assert trainable_rows(lit, 30) == 7
-    rnd = FreezeSchedule(rank=8, freeze_iters=100, total_iters=200)
-    assert trainable_rows(rnd, 30) == 6
 
 
 def test_time_average_matches_half_horizon():

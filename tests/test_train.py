@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from lamda.adapter import AdapterConfig, build_adapter
 from lamda.errors import ConfigError
 from lamda.model import ToyTransformerConfig
@@ -94,6 +95,18 @@ class TestAdam:
         before = t.data.copy()
         opt.step()
         assert np.array_equal(t.data, before)
+
+    def test_full_run_matches_two_path_reference(self, monkeypatch):
+        # Every parameter of a full run is added without live rows: the
+        # one update path must give the dense path's bits.
+        cfg = TrainRunConfig(method="full", total_steps=12, batch_size=2, lr=5e-3,
+                             seed=3, model=SMALL)
+        got = train(cfg)
+        monkeypatch.setattr("lamda.train.Adam", oracles.AdamTwoPathRef)
+        want = train(cfg)
+        assert got.metrics == want.metrics
+        for name, w in want.model.weights().items():
+            assert got.model.params[name].data.tobytes() == w.tobytes(), name
 
     def test_live_scalars(self):
         opt = Adam(lr=0.1)
