@@ -2,7 +2,7 @@
 
 from .adapter import AdapterConfig, AdapterState, LoraState, build_adapter, build_lora
 from .allocator import ModuleScore, RankBudget, RankPlan, allocate, score_modules
-from .freezing import FreezeSchedule, freeze_order, trainable_rows
+from .freezing import FreezeSchedule, trainable_rows
 from .svd import (SpectralDecomposition, SpectrumSplit, energy_score,
                   split_spectrum, split_spectrum_tail, svd)
 from .tensor import Tape, Tensor, float_mode, get_float_mode, set_float_mode

@@ -124,7 +124,7 @@ def count_lora(spec, rank):
         method="lora",
         trainable_params=float(total),
         effective_params=float(total),
-        optimizer_state_bytes=2.0 * total * spec.bytes_per_scalar,
+        optimizer_state_bytes=optimizer_state_bytes(total, spec.bytes_per_scalar),
         gradient_bytes=float(total) * spec.bytes_per_scalar,
         activation_floats={"adapter_input": float(act)},
         per_module=per_module,
@@ -165,7 +165,7 @@ def count_lamda_effective(spec, ranks, ti_fraction):
         method="lamda",
         trainable_params=float(steady),
         effective_params=effective,
-        optimizer_state_bytes=2.0 * steady * spec.bytes_per_scalar,
+        optimizer_state_bytes=optimizer_state_bytes(steady, spec.bytes_per_scalar),
         gradient_bytes=float(steady) * spec.bytes_per_scalar,
         activation_floats={"adapter_core_input": act_core},
         per_module=per_module,

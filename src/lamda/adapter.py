@@ -7,7 +7,7 @@ LoraState is the plain LoRA baseline.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import ConfigError
 from .tensor import Tensor, add, matmul, scale
 
 INIT_MODES = ("spectral_top", "spectral_tail", "kaiming")
-FREEZE_MODES = ("lda_only", "gradual")
 
 
 @dataclass
@@ -25,7 +24,6 @@ class AdapterConfig:
     shape: tuple  # (d_in, d_out)
     alpha: float = 1.0  # 1.0 keeps spectral init an exact reconstruction
     init_mode: str = "spectral_top"
-    freeze_mode: str = "gradual"
 
     def validate(self):
         d_in, d_out = self.shape
@@ -33,8 +31,6 @@ class AdapterConfig:
             raise ConfigError(f"rank {self.rank} out of range for shape {self.shape}")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}")
-        if self.freeze_mode not in FREEZE_MODES:
-            raise ConfigError(f"freeze_mode must be one of {FREEZE_MODES}")
 
 
 @dataclass
@@ -62,11 +58,6 @@ class AdapterState:
         """The adapter's tensors by name, in checkpoint order."""
         return {"w_res": self.w_res, "a": self.a, "s": self.s, "b": self.b}
 
-    def trainable_parameter_names(self):
-        names = {"s"}
-        names.update(f"b.row{i}" for i in range(self.trainable_rows))
-        return names
-
     def set_trainable_rows(self, rows):
         if not 0 <= rows <= self.config.rank:
             raise ConfigError(f"trainable_rows {rows} out of [0, {self.config.rank}]")
@@ -84,7 +75,6 @@ class LoraState:
     a: Tensor  # trainable, kaiming-normal init
     b: Tensor  # trainable, zero init => exact identity at construction
     alpha: float = 1.0
-    rank: int = field(default=0)
 
     def forward(self, x):
         main = matmul(x, self.w)
@@ -96,9 +86,6 @@ class LoraState:
     def tensors(self):
         """The adapter's tensors by name, in checkpoint order."""
         return {"a": self.a, "b": self.b, "w": self.w}
-
-    def trainable_parameter_names(self):
-        return {"a", "b"}
 
 
 def kaiming_normal(rng, fan_in, shape):
@@ -135,16 +122,14 @@ def build_adapter(w, cfg, seed=0, dec=None):
         a, b, w_res = split.a, split.b, split.w_res
         s = np.eye(r)
 
-    rows = r if cfg.freeze_mode == "gradual" else 0
-    st = AdapterState(
+    return AdapterState(
         w_res=Tensor(w_res, name="w_res"),
         a=Tensor(a, name="a"),
         s=Tensor(s, requires_grad=True, name="s"),
-        b=Tensor(b, requires_grad=rows > 0, name="b"),
-        trainable_rows=rows,
+        b=Tensor(b, requires_grad=True, name="b"),
+        trainable_rows=r,
         config=cfg,
     )
-    return st
 
 
 def build_lora(w, rank, alpha=1.0, seed=0):
@@ -158,5 +143,4 @@ def build_lora(w, rank, alpha=1.0, seed=0):
         a=Tensor(a, requires_grad=True, name="a"),
         b=Tensor(np.zeros((rank, w.shape[1])), requires_grad=True, name="b"),
         alpha=alpha,
-        rank=rank,
     )

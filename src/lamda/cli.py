@@ -150,9 +150,17 @@ def cmd_report(args):
         raise ConfigError(f"no run directories with metrics.csv under {args.runs}")
     series = {}
     for run in runs:
-        with open(os.path.join(args.runs, run, "metrics.csv"), encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        series[run] = {int(r["step"]): r for r in rows}
+        path = os.path.join(args.runs, run, "metrics.csv")
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for column in ("step", "loss", "live_params"):
+                if column not in (reader.fieldnames or ()):
+                    raise ConfigError(f"{path} has no {column!r} column")
+            rows = list(reader)
+        try:
+            series[run] = {int(r["step"]): r for r in rows}
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: every step must be an integer") from None
     steps = sorted(set().union(*(s.keys() for s in series.values())))
     header = ["step"]
     for run in runs:

@@ -151,7 +151,7 @@ def checkpoint_from_result(result):
         tensors[f"opt/{name}/m"] = slot["m"]
         tensors[f"opt/{name}/v"] = slot["v"]
     meta = {
-        "step": result.final_step,
+        "step": result.config.total_steps,
         "adam_t": result.optimizer.t,
         "method": result.config.method,
         "config_hash": result.config.digest(),

@@ -35,9 +35,3 @@ def trainable_rows(sched, t):
         return 0
     return int(math.floor(sched.rank * (1.0 - t / sched.freeze_iters) + 0.5))
 
-
-def freeze_order(rank):
-    """Row indices in the order they freeze: last row first."""
-    if rank < 1:
-        raise ConfigError(f"rank must be >= 1, got {rank}")
-    return list(range(rank - 1, -1, -1))

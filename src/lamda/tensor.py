@@ -1,8 +1,8 @@
 """Dense 2-D tensors with a tape-based reverse-mode autodiff engine.
 
 Conventions: row-major numpy storage, rows = tokens and cols = features.
-One global float mode per run (f32 for training, f64 for verification),
-switched via set_float_mode() or the LDA_FLOAT_MODE environment variable.
+One global float mode per run: f32, the default, for training, and f64
+for verification, switched with set_float_mode() or float_mode().
 
 Gradients are only computed inside a `with Tape() as tape:` block; ops
 executed outside a tape compute values but record nothing, which is what
@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 
 import numpy as np
 
 from .errors import ContractError, NumericalError, ShapeError
 
 _MODES = {"f32": np.float32, "f64": np.float64}
-_dtype = _MODES[os.environ.get("LDA_FLOAT_MODE", "f32")]
+_dtype = np.float32
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715

@@ -52,8 +52,12 @@ class TrainRunConfig:
         for key, low in (("total_steps", 1), ("batch_size", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
+        for key in ("lr", "adam_eps", "alpha"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
         if not 0.0 <= self.ti_fraction <= 1.0:
             raise ConfigError(f"ti_fraction {self.ti_fraction} outside [0, 1]")
         if self.method == "lamda++" and not (self.budget_ranks or self.rank_plan):
@@ -166,78 +170,53 @@ class TrainResult:
     model: ToyTransformer
     optimizer: Adam
     schedules: dict
-    final_step: int
 
     def loss_series(self):
         return [row[1] for row in self.metrics]
 
 
-def attach_adapters(model, cfg, ranks, decompositions=None):
-    """Build and install adapters on the (frozen) backbone; returns schedules.
+def build_run(cfg, backbone_weights=None):
+    """Model, optimizer and freeze schedules for a run config.
 
-    `decompositions` maps module ids to SVDs of their backbone weights
-    already computed (by `resolve_ranks`); spectral init reuses them.
+    `full` trains every backbone tensor. Otherwise the backbone stays
+    frozen and each adapted module gets an adapter: LoRA trains `a` and
+    `b`; LaMDA trains the core `s` and the rows of `b` that its freeze
+    schedule leaves live at step 0. Optimizer slots follow sorted module
+    order, which is the checkpoint order.
     """
-    decompositions = decompositions or {}
-    schedules = {}
-    freeze_mode = "gradual" if cfg.ti_fraction > 0 else "lda_only"
-    ti = int(round(cfg.ti_fraction * cfg.total_steps))
-    for i, module in enumerate(sorted(ranks)):
-        w = model.params[module].data
-        r = ranks[module]
-        if cfg.method == "lora":
-            model.adapters[module] = build_lora(
-                w, r, alpha=cfg.alpha, seed=cfg.seed * 7919 + i
-            )
-        else:
-            acfg = AdapterConfig(
-                rank=r, shape=w.shape, alpha=cfg.alpha,
-                init_mode=cfg.init_mode, freeze_mode=freeze_mode,
-            )
-            model.adapters[module] = build_adapter(
-                w, acfg, seed=cfg.seed * 7919 + i, dec=decompositions.get(module)
-            )
-            schedules[module] = _freeze.FreezeSchedule(
-                rank=r, freeze_iters=ti, total_iters=cfg.total_steps)
-    return schedules
-
-
-def _build_optimizer(model, cfg):
+    cfg.validate()
+    model = ToyTransformer(cfg.model, weights=backbone_weights, seed=cfg.seed)
     opt = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    schedules = {}
     if cfg.method == "full":
         for name, t in model.params.items():
             t.requires_grad = True
             opt.add_param(name, t)
-        return opt
-    for module, st in sorted(model.adapters.items()):
-        if cfg.method == "lora":
-            opt.add_param(f"{module}.a", st.a)
-            opt.add_param(f"{module}.b", st.b)
-        else:
-            opt.add_param(f"{module}.s", st.s)
-            opt.add_param(f"{module}.b", st.b, live_rows=st.trainable_rows)
-    return opt
+        return model, opt, schedules
 
-
-def _param_ids(model):
-    ids = {id(t) for t in model.params.values()}
-    for st in model.adapters.values():
-        ids.update(id(t) for t in st.tensors().values())
-    return ids
-
-
-def build_run(cfg, backbone_weights=None):
-    """Model + adapters + optimizer + schedules for a run config."""
-    cfg.validate()
-    model = ToyTransformer(cfg.model, weights=backbone_weights, seed=cfg.seed)
-    model.set_backbone_trainable(False)
     module_ids = model.linear_module_ids(cfg.adapted_kinds)
-    decompositions = {}
+    decompositions = {}  # LaMDA++ scoring's SVDs, reused by spectral init
     ranks = resolve_ranks(
         cfg, {m: model.params[m].data for m in module_ids}, module_ids, decompositions
     )
-    schedules = attach_adapters(model, cfg, ranks, decompositions)
-    opt = _build_optimizer(model, cfg)
+    ti = int(round(cfg.ti_fraction * cfg.total_steps))
+    for i, module in enumerate(sorted(ranks)):
+        w, r, seed = model.params[module].data, ranks[module], cfg.seed * 7919 + i
+        if cfg.method == "lora":
+            st = build_lora(w, r, alpha=cfg.alpha, seed=seed)
+            opt.add_param(f"{module}.a", st.a)
+            opt.add_param(f"{module}.b", st.b)
+        else:
+            acfg = AdapterConfig(rank=r, shape=w.shape, alpha=cfg.alpha, init_mode=cfg.init_mode)
+            st = build_adapter(w, acfg, seed=seed, dec=decompositions.get(module))
+            schedules[module] = _freeze.FreezeSchedule(
+                rank=r, freeze_iters=ti, total_iters=cfg.total_steps)
+            rows = _freeze.trainable_rows(schedules[module], 0)
+            if rows != r:
+                st.set_trainable_rows(rows)
+            opt.add_param(f"{module}.s", st.s)
+            opt.add_param(f"{module}.b", st.b, live_rows=rows)
+        model.adapters[module] = st
     return model, opt, schedules
 
 
@@ -259,7 +238,9 @@ def train(cfg, backbone_weights=None, metrics_hook=None):
     """
     model, opt, schedules = build_run(cfg, backbone_weights)
     task = make_task(cfg.task, cfg.model.vocab, cfg.model.context, seed=cfg.seed + 1)
-    param_ids = _param_ids(model)
+    param_ids = {id(t) for t in model.params.values()}
+    for st in model.adapters.values():
+        param_ids.update(id(t) for t in st.tensors().values())
     metrics = []
 
     for t in range(cfg.total_steps):
@@ -289,8 +270,7 @@ def train(cfg, backbone_weights=None, metrics_hook=None):
             metrics_hook(row)
 
     return TrainResult(
-        config=cfg, metrics=metrics, model=model, optimizer=opt,
-        schedules=schedules, final_step=cfg.total_steps,
+        config=cfg, metrics=metrics, model=model, optimizer=opt, schedules=schedules
     )
 
 

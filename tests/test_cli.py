@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -175,6 +176,12 @@ _BAD_RUN_VALUES = [
     ("model.d_model", 0, {}),
     ("model.ffn_dim", 0, {}),
     ("model.layers", 0, {}),
+    ("beta1", -0.5, {}),
+    ("beta1", 1.0, {}),
+    ("beta2", 2.0, {}),
+    ("adam_eps", -1, {}),
+    ("alpha", 0, {}),
+    ("alpha", -1.0, {}),
 ]
 
 
@@ -255,6 +262,19 @@ class TestFinetuneReport:
         assert run_cli("report", "--runs", str(tmp_path), "--out",
                        str(tmp_path / "m.csv")) == 2
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("loss,live_params\n0.5,10\n", id="no-step-column"),
+        pytest.param("step,live_params\n0,10\n", id="no-loss-column"),
+        pytest.param("step,loss,live_params\nx,0.5,10\n", id="step-not-an-integer"),
+    ])
+    def test_report_malformed_metrics_is_usage_error(self, tmp_path, capsys, text):
+        run = tmp_path / "runs" / "a"
+        run.mkdir(parents=True)
+        (run / "metrics.csv").write_text(text)
+        assert run_cli("report", "--runs", str(tmp_path / "runs"),
+                       "--out", str(tmp_path / "m.csv")) == 2
+        assert "metrics.csv" in capsys.readouterr().err
+
     def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         cfg = _run_config(tmp_path)
 
@@ -275,3 +295,17 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["trainable_params"] == pytest.approx(1.33e6, rel=0.01)
+
+
+@pytest.mark.parametrize("env_mode", ["f16", "f64"])
+def test_float_mode_ignores_environment(tmp_path, env_mode):
+    """A fresh interpreter starts in f32 whatever LDA_FLOAT_MODE holds."""
+    script = ("import sys; from lamda import cli, tensor; "
+              "code = cli.main(sys.argv[1:]); print(tensor.get_float_mode()); sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "count", "--model-preset", "deberta-v3-base",
+         "--method", "lora", "--rank", "8", "--json", str(tmp_path / "c.json")],
+        capture_output=True, text=True, env=dict(os.environ, LDA_FLOAT_MODE=env_mode),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "f32\n"

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamda.errors import ConfigError, ContractError
-from lamda.freezing import FreezeSchedule, freeze_order, trainable_rows
+from lamda.freezing import FreezeSchedule, trainable_rows
 
 
 def test_endpoints():
@@ -44,11 +44,6 @@ def test_monotone_non_increasing(rank, ti, extra):
     assert rows[-1] == 0
 
 
-def test_freeze_order_last_row_first():
-    assert freeze_order(4) == [3, 2, 1, 0]
-    assert freeze_order(1) == [0]
-
-
 def test_validation():
     with pytest.raises(ConfigError):
         FreezeSchedule(rank=0, freeze_iters=1, total_iters=2)
@@ -57,5 +52,3 @@ def test_validation():
     sched = FreezeSchedule(rank=4, freeze_iters=2, total_iters=4)
     with pytest.raises(ContractError):
         trainable_rows(sched, 5)
-    with pytest.raises(ConfigError):
-        freeze_order(0)

@@ -189,7 +189,34 @@ class TestTraining:
         assert all(not t.requires_grad for t in model.params.values())
         assert set(model.adapters) == {"L0.q", "L0.v"}
         assert set(schedules) == {"L0.q", "L0.v"}
-        assert set(opt.slots) == {"L0.q.s", "L0.q.b", "L0.v.s", "L0.v.b"}
+        assert list(opt.slots) == ["L0.q.s", "L0.q.b", "L0.v.s", "L0.v.b"]
+
+    def test_build_run_slots_follow_method(self):
+        kinds = ("q", "v")
+        lora = TrainRunConfig(method="lora", rank=2, adapted_kinds=kinds, model=SMALL)
+        _, opt, schedules = build_run(lora)
+        assert list(opt.slots) == ["L0.q.a", "L0.q.b", "L0.v.a", "L0.v.b"]
+        assert schedules == {}
+        full = TrainRunConfig(method="full", adapted_kinds=kinds, model=SMALL)
+        model, opt, schedules = build_run(full)
+        assert list(opt.slots) == list(model.params)
+        assert all(t.requires_grad for t in model.params.values())
+        assert model.adapters == {} and schedules == {}
+
+    @pytest.mark.parametrize("ti_fraction, live", [
+        pytest.param(0.0, 0, id="b-never-trains"),
+        pytest.param(0.5, 2, id="b-starts-live"),
+    ])
+    def test_build_run_starts_b_at_step_zero_rows(self, ti_fraction, live):
+        """t_i = 0 freezes every B row from the start; t_i > 0 starts all live."""
+        cfg = TrainRunConfig(method="lamda", rank=2, total_steps=10, ti_fraction=ti_fraction,
+                             adapted_kinds=("q", "v"), model=SMALL)
+        model, opt, _ = build_run(cfg)
+        for module, st in model.adapters.items():
+            assert st.trainable_rows == live
+            assert st.b.requires_grad == (live > 0) and st.s.requires_grad
+            assert opt.slots[f"{module}.b"]["live"] == live
+            assert opt.slots[f"{module}.s"]["live"] == 2
 
     def test_short_lamda_run_improves_and_freezes(self):
         cfg = TrainRunConfig(method="lamda", task="modsum", rank=4, total_steps=150,
