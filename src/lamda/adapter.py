@@ -3,7 +3,10 @@
 AdapterState is the low-dimensional adapter: a frozen residual main path,
 a frozen down-projection `a`, a trainable r x r core `s`, and a row-wise
 freezable up-projection `b`, so `y = x @ w_res + alpha * ((x @ a) @ s) @ b`.
-LoraState is the plain LoRA baseline.
+LoraState is the plain LoRA baseline, `y = x @ w + alpha * (x @ a) @ b`.
+Both forwards are one `tensor.adapted_linear` tape node, which keeps only
+the r-wide activations (and, for LoRA's trainable `a`, the input) that
+their gradients read.
 """
 
 import math
@@ -13,7 +16,10 @@ import numpy as np
 
 from . import svd as _svd
 from .errors import ConfigError
-from .tensor import Tensor, add, matmul, scale
+from .tensor import Tensor, adapted_linear
+# Unused here; perfbench's self-test checks that its tracer also wraps this
+# module's binding of `matmul`.
+from .tensor import matmul  # noqa: F401
 
 INIT_MODES = ("spectral_top", "spectral_tail", "kaiming")
 
@@ -48,11 +54,7 @@ class AdapterState:
         The association order matters: the only adapter-path intermediates
         the tape retains are (x @ a) and ((x @ a) @ s), both of width r.
         """
-        main = matmul(x, self.w_res)
-        path = matmul(matmul(matmul(x, self.a), self.s), self.b)
-        if self.config.alpha != 1.0:
-            path = scale(path, self.config.alpha)
-        return add(main, path)
+        return adapted_linear(x, self.w_res, self.a, self.s, self.b, self.config.alpha)
 
     def tensors(self):
         """The adapter's tensors by name, in checkpoint order."""
@@ -77,11 +79,7 @@ class LoraState:
     alpha: float = 1.0
 
     def forward(self, x):
-        main = matmul(x, self.w)
-        path = matmul(matmul(x, self.a), self.b)
-        if self.alpha != 1.0:
-            path = scale(path, self.alpha)
-        return add(main, path)
+        return adapted_linear(x, self.w, self.a, None, self.b, self.alpha)
 
     def tensors(self):
         """The adapter's tensors by name, in checkpoint order."""

@@ -22,7 +22,7 @@ def _write_json(path, doc):
     if path == "-" or path is None:
         print(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with container.atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
@@ -56,7 +56,7 @@ def cmd_analyze(args):
     _write_json(args.scores_out, {"modules": [asdict(m) for m in scores]})
 
     if args.energy_csv:
-        with open(args.energy_csv, "w", newline="", encoding="utf-8") as fh:
+        with container.atomic_open(args.energy_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["module", "rank", "energy_ratio"])
             for name in names:
@@ -100,7 +100,7 @@ def cmd_count(args):
         raise ConfigError(f"count supports methods lora|lamda, got {method!r}")
     _write_json(args.json, asdict(report))
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with container.atomic_open(args.csv, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(report.csv_rows())
     return 0
 
@@ -109,7 +109,7 @@ def cmd_count(args):
 
 
 def _write_metrics_csv(path, metrics):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with container.atomic_open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "loss", "live_params", "stored_activation_floats"])
         for step, loss, live, retained in metrics:
@@ -157,15 +157,23 @@ def cmd_report(args):
                 if column not in (reader.fieldnames or ()):
                     raise ConfigError(f"{path} has no {column!r} column")
             rows = list(reader)
-        try:
-            series[run] = {int(r["step"]): r for r in rows}
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: every step must be an integer") from None
+        series[run] = {}
+        for r in rows:
+            try:
+                step = int(r["step"])
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}: every step must be an integer") from None
+            if None in r or None in r.values():
+                raise ConfigError(f"{path}: the row of step {step} does not have "
+                                  f"the header's {len(reader.fieldnames)} fields")
+            if step in series[run]:
+                raise ConfigError(f"{path}: step {step} appears more than once")
+            series[run][step] = r
     steps = sorted(set().union(*(s.keys() for s in series.values())))
     header = ["step"]
     for run in runs:
         header += [f"{run}.loss", f"{run}.live_params"]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with container.atomic_open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for step in steps:

@@ -11,11 +11,17 @@ A weight container ends its stream. Readers reject whatever does not
 parse as one: a short or overlong stream, a name that is not UTF-8, a
 shape numpy cannot hold or one larger than the bytes left (ConfigError),
 and non-finite data, which the writer refuses too (NumericalError).
+
+`write_weights`, `save_checkpoint` and the CLI's outputs are written
+through `atomic_open`, so a file holds either its old bytes or all of its
+new ones, never a torn write.
 """
 
+import contextlib
 import io
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -28,6 +34,22 @@ FORMAT_VERSION = 1
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="wb", **kwargs):
+    """Open a temp file next to `path` for writing. It replaces `path` when
+    the block ends; if the block raises, it is deleted and `path` is left
+    as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_weights_stream(fh, tensors):
@@ -102,7 +124,7 @@ def read_weights_stream(fh):
 
 
 def write_weights(path, tensors):
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         write_weights_stream(fh, tensors)
 
 
@@ -113,7 +135,7 @@ def read_weights(path):
 
 def save_checkpoint(path, tensors, meta):
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<HI", FORMAT_VERSION, len(blob)))
         fh.write(blob)

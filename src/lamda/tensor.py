@@ -53,7 +53,8 @@ def float_mode(mode):
 class Tensor:
     """A dense array plus the bookkeeping needed to replay its backward rule."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op",
+                 "_saved")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=_dtype)
@@ -63,6 +64,7 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._op = None
+        self._saved = ()  # (operand, array its gradient reads) pairs of a tape node
 
     @property
     def shape(self):
@@ -121,13 +123,14 @@ class Tape:
 _active_tape = None
 
 
-def _record(data, parents, backward, op):
+def _record(data, parents, backward, op, saved=()):
     out = Tensor(data)
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad and _active_tape is not None:
         out._parents = tuple(parents)
         out._backward = backward
         out._op = op
+        out._saved = saved
         _active_tape.nodes.append(out)
     return out
 
@@ -154,7 +157,58 @@ def matmul(a, b):
         if b.requires_grad:
             _accum(b, a.data.T @ g)
 
-    return _record(out_data, (a, b), backward, "matmul")
+    return _record(out_data, (a, b), backward, "matmul", ((b, a.data), (a, b.data)))
+
+
+def adapted_linear(x, w, a, s, b, alpha=1.0):
+    """x @ w + alpha * ((x @ a) @ s) @ b as one tape node; `s=None` gives the
+    LoRA form x @ w + alpha * (x @ a) @ b.
+
+    It runs the numpy products of the matmul/scale/add composition it
+    replaces, in the same order, and adds the adapter path's gradient into
+    `x` before the main path's, as that composition's tape does, so both
+    give the same bits. Products whose target needs no gradient are
+    skipped. The backward keeps only x, x @ a and (x @ a) @ s, the inputs
+    its weight gradients read; the d_out-wide intermediates are freed.
+    """
+    factors = (a, b) if s is None else (a, s, b)
+    dims = [x.data.shape, w.data.shape] + [f.data.shape for f in factors]
+    if (any(len(dim) != 2 for dim in dims) or dims[0][1] != dims[1][0]
+            or dims[0][1] != dims[2][0] or dims[1][1] != dims[-1][1]
+            or any(p[1] != q[0] for p, q in zip(dims[2:], dims[3:]))):
+        raise ShapeError(f"adapted_linear shapes do not chain: x {dims[0]}, w {dims[1]}, "
+                         f"adapter {dims[2:]}")
+    out_data = x.data @ w.data
+    ins = [x.data]  # the input of each factor: x, x @ a, then (x @ a) @ s
+    for f in factors[:-1]:
+        ins.append(ins[-1] @ f.data)
+    path = ins[-1] @ factors[-1].data
+    c = None if alpha == 1.0 else _dtype(alpha)
+    if c is not None:
+        path *= c
+    out_data += path  # the composition's main + path, in place
+    live = [x.requires_grad]  # whether each factor's input needs a gradient
+    for f in factors[:-1]:
+        live.append(live[-1] or f.requires_grad)
+
+    def backward(g):
+        gk = g if c is None else g * c
+        for k in reversed(range(len(factors))):
+            f = factors[k]
+            if f.requires_grad:
+                _accum(f, ins[k].T @ gk)
+            if not live[k]:
+                break
+            gk = gk @ f.data.T
+        else:  # x's adapter-path share goes in before its main-path share
+            _accum(x, gk)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+
+    saved = ((w, x.data),) + tuple(zip(factors, ins))
+    return _record(out_data, (x, w) + factors, backward, "adapted_linear", saved)
 
 
 def add(a, b):
@@ -218,16 +272,39 @@ def transpose(a):
 
 
 def gelu(a):
-    """tanh-form GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
+    """tanh-form GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
+
+    Each product and sum updates a fresh buffer in place. Every step is the
+    IEEE operation of the plain formula on the same two operands (a + b
+    and a * b commute exactly), so the bits are the formula's, with fewer
+    temporaries.
+    """
     x = a.data
-    inner = _dtype(_GELU_C) * (x + _dtype(_GELU_A) * x * x * x)
-    t = np.tanh(inner)
-    out_data = _dtype(0.5) * x * (1 + t)
+    c, k = _dtype(_GELU_C), _dtype(_GELU_A)
+    t = k * x
+    t *= x
+    t *= x
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    out_data = _dtype(0.5) * x
+    out_data *= 1 + t
 
     def backward(g):
-        dinner = _dtype(_GELU_C) * (1 + 3 * _dtype(_GELU_A) * x * x)
-        da = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner
-        _accum(a, g * da.astype(_dtype))
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (c * (1 + 3 * k * x * x))
+        dinner = (3 * k) * x
+        dinner *= x
+        dinner += 1
+        dinner *= c
+        slope = t * t
+        np.subtract(1, slope, out=slope)
+        slope *= 0.5 * x
+        slope *= dinner
+        da = 1 + t
+        da *= 0.5
+        da += slope
+        da *= g
+        _accum(a, da)
 
     return _record(out_data, (a,), backward, "gelu")
 
@@ -300,22 +377,32 @@ def attention(q, k, v, n, heads, mask=None):
     return _record(out_data, (q, k, v), backward, "attention")
 
 
+def _row_mean(x):
+    """x.mean(axis=1, keepdims=True) with the same bits and less overhead.
+
+    np.mean divides the same row sum by the count in f64 and rounds back to
+    the array dtype; f64 has more than twice f32's precision plus two bits,
+    so that double rounding gives the correctly rounded quotient, which is
+    what dividing in the array dtype gives.
+    """
+    return x.sum(axis=1, keepdims=True) / x.shape[1]
+
+
 def layer_norm(a, gain, bias, eps=1e-5):
     x = a.data
     d = x.shape[-1]
     if d == 1 and eps == 0:
         raise NumericalError("layer_norm is degenerate for d=1 with eps=0")
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _dtype(eps))
-    xhat = (x - mu) * inv
+    xc = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xc * xc) + _dtype(eps))
+    xhat = xc * inv
     gdat = gain.data.reshape(1, -1)
     out_data = xhat * gdat + bias.data.reshape(1, -1)
 
     def backward(g):
         gg = g * gdat
-        m1 = gg.mean(axis=1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=1, keepdims=True)
+        m1 = _row_mean(gg)
+        m2 = _row_mean(gg * xhat)
         _accum(a, (gg - m1 - xhat * m2) * inv)
         _accum(gain, (g * xhat).sum(axis=0).reshape(gain.data.shape))
         _accum(bias, g.sum(axis=0).reshape(bias.data.shape))

@@ -127,16 +127,13 @@ class Adam:
 
 def count_retained_activations(tape, param_ids):
     """Floats the backward pass must retain to update trainable parameters:
-    the non-parameter operand of every matmul whose other operand is a
-    trainable parameter. Each intermediate counts once."""
+    the activations that tape nodes saved for the gradient of a trainable
+    parameter (`Tensor._saved`). Each array counts once."""
     retained = {}
     for node in tape.nodes:
-        if node._op != "matmul":
-            continue
-        p, q = node._parents
-        for param, other in ((q, p), (p, q)):
-            if param.requires_grad and id(param) in param_ids and id(other) not in param_ids:
-                retained[id(other)] = other.data.size
+        for param, act in node._saved:
+            if param.requires_grad and id(param) in param_ids:
+                retained[id(act)] = act.size
     return int(sum(retained.values()))
 
 

@@ -56,6 +56,34 @@ def layer_norm_ref(x, gain, bias, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * gain + bias
 
 
+def layer_norm_meanvar_ref(x, gain, bias, g, eps=1e-5):
+    """LayerNorm forward and backward written with np.mean and np.var, in the
+    array dtype: (out, d_x, d_gain, d_bias) for the upstream gradient g."""
+    dt = x.dtype.type
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + dt(eps))
+    xhat = (x - mu) * inv
+    gdat = gain.reshape(1, -1)
+    out = xhat * gdat + bias.reshape(1, -1)
+    gg = g * gdat
+    m1 = gg.mean(axis=1, keepdims=True)
+    m2 = (gg * xhat).mean(axis=1, keepdims=True)
+    dx = (gg - m1 - xhat * m2) * inv
+    return out, dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+def gelu_formula_ref(x, g):
+    """tanh-form GELU forward and backward as plain expressions in the array
+    dtype: (out, d_x) for the upstream gradient g."""
+    dt = x.dtype.type
+    c, k = dt(math.sqrt(2.0 / math.pi)), dt(0.044715)
+    t = np.tanh(c * (x + k * x * x * x))
+    out = dt(0.5) * x * (1 + t)
+    dinner = c * (1 + 3 * k * x * x)
+    return out, g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner)
+
+
 def symeig_jacobi(sym, tol=1e-14, max_sweeps=100):
     """Eigenvalues of a symmetric matrix via two-sided cyclic Jacobi."""
     a = np.array(sym, dtype=np.float64)

@@ -275,6 +275,31 @@ class TestFinetuneReport:
                        "--out", str(tmp_path / "m.csv")) == 2
         assert "metrics.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, step", [
+        pytest.param("step,loss,live_params\n0,0.5,10\n0,0.7,11\n1,0.4,9\n", 0,
+                     id="repeated-step"),
+        pytest.param("step,loss,live_params\n0,0.5,10\n1,0.4\n", 1, id="short-row"),
+        pytest.param("step,loss,live_params\n0,0.5,10\n1,0.4,9,7\n", 1, id="long-row"),
+    ])
+    def test_report_rejects_repeated_step_or_ragged_row(self, tmp_path, capsys, text, step):
+        run = tmp_path / "runs" / "a"
+        run.mkdir(parents=True)
+        (run / "metrics.csv").write_text(text)
+        out = tmp_path / "m.csv"
+        assert run_cli("report", "--runs", str(tmp_path / "runs"), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(run / "metrics.csv") in err and f"step {step} " in err
+        assert not out.exists()
+
+    def test_metrics_csv_write_is_atomic(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        cli._write_metrics_csv(path, [(0, 0.5, 10, 4)])
+        before = path.read_bytes()
+        with pytest.raises(TypeError):  # the second row's loss is not a number
+            cli._write_metrics_csv(path, [(0, 0.25, 10, 4), (1, None, 10, 4)])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["metrics.csv"]
+
     def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
         cfg = _run_config(tmp_path)
 

@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 from dataclasses import replace
 
@@ -86,6 +87,21 @@ def test_checkpoint_round_trip(tmp_path):
     assert back_m == meta
     for name, arr in tensors.items():
         assert np.asarray(arr).tobytes() == back_t[name].tobytes()
+
+
+@pytest.mark.parametrize("write", [
+    write_weights, lambda path, tensors: save_checkpoint(path, tensors, {"step": 1}),
+], ids=["weights", "checkpoint"])
+def test_failed_write_leaves_old_file(tmp_path, write):
+    """A writer that raises mid-stream leaves the old bytes and no temp file."""
+    path = tmp_path / "out.bin"
+    write(path, _tensors())
+    before = path.read_bytes()
+    bad = {"w": np.ones((2, 2), dtype=np.float32), "nan": np.array([np.nan])}
+    with pytest.raises(NumericalError):
+        write(path, bad)  # "w" is written before "nan" is refused
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.bin"]
 
 
 def test_checkpoint_rejects_weight_file(tmp_path):

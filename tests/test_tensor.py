@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import oracles
 from lamda.errors import ContractError, ShapeError
-from lamda.tensor import (Tape, Tensor, add, attention, concat_cols, concat_rows,
-                          cross_entropy, embedding, gelu, get_float_mode,
-                          layer_norm, matmul, mul, scale, set_float_mode,
-                          slice_cols, slice_rows, softmax_rows, sub,
+from lamda.tensor import (Tape, Tensor, adapted_linear, add, attention, concat_cols,
+                          concat_rows, cross_entropy, embedding, float_mode, gelu,
+                          get_float_mode, layer_norm, matmul, mul, scale,
+                          set_float_mode, slice_cols, slice_rows, softmax_rows, sub,
                           tensor_sum, transpose)
 
 
@@ -169,7 +169,135 @@ class TestAttention:
             attention(a, a, a, 4, 2, _causal_mask(3))
 
 
+def _adapted_by_primitives(x, w, a, s, b, alpha=1.0):
+    """The matmul/scale/add composition that adapted_linear replaces."""
+    main = matmul(x, w)
+    h = matmul(x, a)
+    if s is not None:
+        h = matmul(h, s)
+    path = matmul(h, b)
+    if alpha != 1.0:
+        path = scale(path, alpha)
+    return add(main, path)
+
+
+# (x, a, s, b) trainable flags and alpha; s=None is the LoRA form.
+_ADAPTED_CASES = {
+    "lamda": ((True, False, True, True), 1.0),
+    "lamda-x-frozen": ((False, False, True, True), 1.0),
+    "lamda-b-frozen": ((True, False, True, False), 1.0),
+    "lamda-x-and-b-frozen": ((False, False, True, False), 1.0),
+    "lamda-alpha-0.5": ((True, False, True, True), 0.5),
+    "lora": ((True, True, None, True), 1.0),
+    "lora-x-frozen": ((False, True, None, True), 1.0),
+    "lora-alpha-0.5": ((True, True, None, True), 0.5),
+}
+
+
+class TestAdaptedLinear:
+    @pytest.mark.parametrize("case", list(_ADAPTED_CASES))
+    @pytest.mark.parametrize("bn, d_in, d_out, r", [
+        (32, 32, 32, 4), (32, 32, 64, 4), (32, 64, 32, 4),  # golden config
+        (128, 64, 64, 8), (128, 64, 256, 8), (128, 256, 64, 8),  # toy model
+    ])
+    def test_bitwise_equals_five_op_composition(self, bn, d_in, d_out, r, case):
+        """f32 output and every gradient match the composition's bits; x also
+        feeds a second consumer, so both add its gradient to an existing one."""
+        flags, alpha = _ADAPTED_CASES[case]
+        rng = np.random.default_rng(15)
+        shapes = [(bn, d_in), (d_in, r), (r, r), (r, d_out)]
+        arrs = [rng.normal(size=shape) for shape in shapes]
+        w = rng.normal(size=(d_in, d_out))
+        c = Tensor(rng.normal(size=(bn, d_out + d_in)))
+        results = []
+        for op in (adapted_linear, _adapted_by_primitives):
+            x, a, s, b = (None if live is None else Tensor(arr, requires_grad=live)
+                          for arr, live in zip(arrs, flags))
+            with Tape() as tape:
+                out = op(x, Tensor(w), a, s, b, alpha)
+                tape.backward(tensor_sum(mul(concat_cols([out, x]), c)))
+            results.append([out.data.tobytes()] + [
+                None if t is None or t.grad is None else t.grad.tobytes()
+                for t in (x, a, s, b)])
+        fused, composed = results
+        for name, got, want in zip(("out", "dx", "da", "ds", "db"), fused, composed):
+            assert got == want, name
+
+    @pytest.mark.parametrize("lora", [False, True])
+    def test_gradient_check(self, f64, lora):
+        rng = np.random.default_rng(16)
+        x, w, a, s, b, c = (rng.normal(size=shape) for shape in
+                            [(6, 5), (5, 4), (5, 3), (3, 3), (3, 4), (6, 4)])
+        arrs = [x, w, a, b] if lora else [x, w, a, s, b]
+
+        def loss(ts):
+            args = ts[:3] + [None] + ts[3:] if lora else ts
+            return tensor_sum(mul(adapted_linear(*args, alpha=0.5), Tensor(c)))
+
+        ts = [Tensor(arr, requires_grad=True) for arr in arrs]
+        with Tape() as tape:
+            grads = tape.backward(loss(ts))
+        for t, arr in zip(ts, arrs):
+            num = oracles.fd_grad(lambda: float(loss([Tensor(v) for v in arrs]).data), arr)
+            denom = max(np.abs(num).max(), 1e-8)
+            assert np.abs(grads[t] - num).max() / denom <= 1e-4
+
+    @pytest.mark.parametrize("lora", [False, True])
+    def test_one_tape_node(self, lora):
+        x = Tensor(np.ones((8, 6)))
+        w = Tensor(np.ones((6, 5)))
+        a = Tensor(np.ones((6, 2)), requires_grad=lora)
+        s = None if lora else Tensor(np.eye(2), requires_grad=True)
+        b = Tensor(np.zeros((2, 5)), requires_grad=True)
+        with Tape() as tape:
+            adapted_linear(x, w, a, s, b, alpha=2.0)
+        assert [node._op for node in tape.nodes] == ["adapted_linear"]
+        # the trainable tensors' gradients read only r-wide activations
+        # (and x for LoRA's a)
+        saved = {id(p): act.shape for p, act in tape.nodes[0]._saved if p.requires_grad}
+        want = {id(a): (8, 6), id(b): (8, 2)} if lora else {id(s): (8, 2), id(b): (8, 2)}
+        assert saved == want
+
+    def test_shapes_must_chain(self):
+        x, w = Tensor(np.zeros((4, 6))), Tensor(np.zeros((6, 5)))
+        a, s = Tensor(np.zeros((6, 2))), Tensor(np.zeros((2, 2)))
+        with pytest.raises(ShapeError, match=r"x \(4, 6\).*\(3, 5\)"):
+            adapted_linear(x, w, a, s, Tensor(np.zeros((3, 5))))
+        with pytest.raises(ShapeError, match=r"w \(6, 4\)"):
+            adapted_linear(x, Tensor(np.zeros((6, 4))), a, None, Tensor(np.zeros((2, 5))))
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (37, 100), (128, 256)])
+def test_gelu_bitwise_equals_formula(mode, shape):
+    rng = np.random.default_rng(18)
+    with float_mode(mode):
+        x = Tensor(3 * rng.normal(size=shape), requires_grad=True)
+        g = Tensor(rng.normal(size=shape))
+        with Tape() as tape:
+            out = gelu(x)
+            tape.backward(tensor_sum(mul(out, g)))
+    want_out, want_dx = oracles.gelu_formula_ref(x.data, g.data)
+    assert out.data.dtype == want_out.dtype and out.data.tobytes() == want_out.tobytes()
+    assert x.grad.dtype == want_dx.dtype and x.grad.tobytes() == want_dx.tobytes()
+
+
 class TestLayerNorm:
+    @pytest.mark.parametrize("mode", ["f32", "f64"])
+    @pytest.mark.parametrize("d", [1, 3, 48, 64, 100])
+    def test_bitwise_equals_mean_var_formula(self, mode, d):
+        rng = np.random.default_rng(17)
+        with float_mode(mode):
+            x, gain, bias, g = (Tensor(rng.normal(size=shape), requires_grad=True)
+                                for shape in [(37, d), d, d, (37, d)])
+            with Tape() as tape:
+                out = layer_norm(x, gain, bias)
+                tape.backward(tensor_sum(mul(out, Tensor(g.data))))
+        want = oracles.layer_norm_meanvar_ref(x.data, gain.data, bias.data, g.data)
+        for name, got, ref in zip(("out", "dx", "dgain", "dbias"),
+                                  (out.data, x.grad, gain.grad, bias.grad), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
     def test_constant_row_zeroes(self):
         x = Tensor(np.full((1, 4), 3.7))
         out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
