@@ -80,6 +80,11 @@ def score_from_sigma(module, sigma, budget):
     e_lo = energy_score(sigma, r_lo)
     e_hi = energy_score(sigma, r_hi)
     e_target = energy_score(sigma, budget.target)
+    if e_target == 0.0:
+        raise ConfigError(
+            f"module {module!r}: no energy in the top {budget.target} singular "
+            "values, so its candidacy score is undefined"
+        )
     layer, kind = parse_module_id(module)
     return ModuleScore(
         module=module,

@@ -42,7 +42,7 @@ class SpectrumSplit:
 
 
 def svd(w, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
-    """Jacobi SVD of a d_in x d_out matrix; k = min(d_in, d_out).
+    """Jacobi SVD of a d_in x d_out matrix; k = min(d_in, d_out) >= 1.
 
     The sweep runs on the side with fewer columns so the rotation count
     stays k*(k-1)/2 per sweep.
@@ -51,6 +51,10 @@ def svd(w, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     if w.ndim != 2:
         raise ConfigError(f"svd expects a matrix, got shape {w.shape}")
     d_in, d_out = w.shape
+    if min(d_in, d_out) == 0:
+        raise ConfigError(f"svd expects a non-empty matrix, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise NumericalError(f"svd input of shape {w.shape} holds NaN or inf")
     flipped = d_out > d_in
     work = w.T if flipped else w  # columns = k side
 

@@ -85,6 +85,16 @@ class TestScoring:
         for s in scores:
             assert s.e_lo <= s.e_target <= s.e_hi
 
+    def test_zero_energy_names_the_module(self):
+        with pytest.raises(ConfigError, match="'L1.v': no energy"):
+            score_from_sigma("L1.v", np.zeros(64), BUDGET)
+
+    def test_score_modules_rejects_an_all_zero_weight(self):
+        weights = {"L0.q": np.random.default_rng(7).normal(size=(64, 64)),
+                   "L0.v": np.zeros((64, 64))}
+        with pytest.raises(ConfigError, match="'L0.v': no energy"):
+            score_modules(weights, BUDGET)
+
     def test_parse_module_id(self):
         assert parse_module_id("L3.ffn1") == (3, "ffn1")
         assert parse_module_id("embedding") == (0, "embedding")

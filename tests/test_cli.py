@@ -74,6 +74,22 @@ class TestAnalyzePlan:
         assert run_cli("analyze", "--weights", str(weights_file),
                        "--ranks", "2,four,6", "--target", "4") == 2
 
+    @pytest.mark.parametrize("shape, message", [
+        ((8, 8), "'L0.q': no energy"),
+        ((64, 0), "non-empty"),
+        ((0, 64), "non-empty"),
+    ])
+    def test_zero_energy_or_empty_matrix_is_usage_error(self, tmp_path, capsys,
+                                                        shape, message):
+        weights = tmp_path / "w.ldwt"
+        container.write_weights(weights, {"L0.q": np.zeros(shape, dtype=np.float32)})
+        scores, energy = tmp_path / "scores.json", tmp_path / "energy.csv"
+        assert run_cli("analyze", "--weights", str(weights), "--ranks", "1,2,3",
+                       "--target", "2", "--scores-out", str(scores),
+                       "--energy-csv", str(energy)) == 2
+        assert message in capsys.readouterr().err
+        assert not scores.exists() and not energy.exists()
+
 
 class TestCount:
     def test_lamda_json_and_csv(self, tmp_path):

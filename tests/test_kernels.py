@@ -121,6 +121,20 @@ def _signed_zeros():
     return w
 
 
+def _hadamard_rows(n):
+    """n exactly orthogonal rows of distinct norms (n a power of two)."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h * np.arange(1.0, n + 1.0)[:, None]
+
+
+def _hadamard_with_nan():
+    at = _hadamard_rows(8)
+    at[5, 3] = np.nan
+    return at
+
+
 def _svd_operands(w):
     """The `at` that svd hands the kernel for weight w."""
     work = w.T if w.shape[1] > w.shape[0] else w
@@ -143,21 +157,99 @@ _ORACLE_CASES = {
     "rows-of-length-1": (np.array([[2.0], [-0.0], [1e300], [-3.0]]), 60),
     "max-sweeps-0": (_svd_operands(_rng_normal(29, (12, 8))), 0),
     "max-sweeps-1": (_svd_operands(_rng_normal(30, (40, 16))), 1),
+    "n4": (_svd_operands(_rng_normal(31, (7, 4))), 60),
+    "n5": (_svd_operands(_rng_normal(32, (5, 9))), 60),
+    "max-sweeps-2": (_svd_operands(_rng_normal(33, (40, 16))), 2),
+    "converges-on-sweep-1": (_hadamard_rows(8), 60),
+    "nan-rollback": (_hadamard_with_nan(), 60),
+    "sliced-waves-32x2048": (_svd_operands(_rng_normal(34, (32, 2048))), 60),
 }
 
 
-@pytest.mark.parametrize("case", list(_ORACLE_CASES))
-def test_kernel_bitwise_equals_cyclic_loop(case):
-    """The wavefront kernel gives the scalar cyclic loop's factors, sweep
-    count, worst off-diagonal and convergence flag, bit for bit."""
-    at0, max_sweeps = _ORACLE_CASES[case]
+@pytest.fixture
+def rollbacks(monkeypatch):
+    """The number of times jacobi_sweeps rolled back a speculative sweep head."""
+    count = [0]
+    run = kernels._sweeps
+
+    def counted(*args):
+        out = run(*args)
+        count[0] += not out[3]
+        return out
+
+    monkeypatch.setattr(kernels, "_sweeps", counted)
+    return count
+
+
+def _both_kernels(at0, tol, max_sweeps):
+    """(at, vt, sweeps, worst, converged) bytes from the kernel and the loop."""
     runs = []
     for sweeps_fn in (kernels.jacobi_sweeps, oracles.jacobi_sweeps_cyclic_ref):
         at, vt = at0.copy(), np.eye(at0.shape[0])
         with np.errstate(all="ignore"):
-            sweeps, worst, converged = sweeps_fn(at, vt, 1e-12, max_sweeps)
+            sweeps, worst, converged = sweeps_fn(at, vt, tol, max_sweeps)
         runs.append((_sha256(at), _sha256(vt), sweeps,
                      np.float64(worst).tobytes(), bool(converged)))
+    return runs
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_kernel_bitwise_equals_cyclic_loop(case, rollbacks):
+    """The pipelined wavefront kernel gives the scalar cyclic loop's factors,
+    sweep count, worst off-diagonal and convergence flag, bit for bit."""
+    at0, max_sweeps = _ORACLE_CASES[case]
+    runs = _both_kernels(at0, 1e-12, max_sweeps)
     assert runs[0] == runs[1]
-    if case == "max-sweeps-1":
-        assert not runs[1][4]  # stops mid-way, not converged
+    if case in ("max-sweeps-1", "max-sweeps-2"):
+        assert runs[1][2] == max_sweeps and not runs[1][4]  # stops mid-way
+    if case in ("converges-on-sweep-1", "nan-rollback"):
+        assert runs[1][2] == 1 and runs[1][4]
+    assert rollbacks[0] == (case in ("nan-entry", "nan-rollback"))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_schedule_is_the_wavefront_rule_across_sweeps(n):
+    """Each global wave holds exactly the pairs that max(last[p], last[q]) + 1
+    places there when three sweeps run back to back."""
+    last, want = [-1] * n, {}
+    for sweep in range(3):
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                last[p] = last[q] = want[sweep, p, q] = max(last[p], last[q]) + 1
+    got = {}
+    for g in range(5 * n):
+        s, r = divmod(g, n)
+        ip, iq, k = kernels._schedule(n)[r]
+        for j, (p, q) in enumerate(zip(ip.tolist(), iq.tolist())):
+            sweep = s - 1 if j < k else s
+            if 0 <= sweep < 3:
+                got[sweep, p, q] = g
+    assert got == want
+
+
+_SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 200])
+def test_fuzz_bitwise_equals_cyclic_loop(rollbacks, monkeypatch, slice_bytes):
+    """Small matrices with special values, zero and duplicate rows, odd
+    tolerances and sweep caps: kernel and loop agree byte for byte, and the
+    speculative-head rollback is among the paths taken. With slice_bytes,
+    the waves run in slices of one or two pairs, as big matrices' waves do."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(kernels, "_SLICE_BYTES", slice_bytes)
+    rng = np.random.default_rng(909)
+    for _ in range(400):
+        n = int(rng.integers(0, 9))
+        at = rng.normal(size=(n, int(rng.integers(max(n, 1), 10))))
+        for _ in range(int(rng.integers(0, 3)) if n else 0):
+            at[rng.integers(n), rng.integers(at.shape[1])] = _SPECIALS[rng.integers(len(_SPECIALS))]
+        if n > 1 and rng.random() < 0.2:
+            at[rng.integers(n)] = 0.0
+        if n > 1 and rng.random() < 0.2:
+            at[rng.integers(n)] = at[rng.integers(n)]
+        tol = (1e-12, 0.0, 1e-3, -1.0)[rng.integers(4)]
+        max_sweeps = (0, 1, 2, 3, 60 if tol > 0 else 5)[rng.integers(5)]
+        runs = _both_kernels(at, tol, max_sweeps)
+        assert runs[0] == runs[1], (at, tol, max_sweeps)
+    assert rollbacks[0] > 0

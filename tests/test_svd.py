@@ -69,6 +69,19 @@ class TestDecomposition:
         with pytest.raises(ConfigError):
             svd(np.ones(4))
 
+    @pytest.mark.parametrize("shape", [(64, 0), (0, 64), (0, 0)])
+    def test_rejects_empty_matrices(self, shape):
+        with pytest.raises(ConfigError, match="non-empty"):
+            svd(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        """One NaN or inf would otherwise "converge" to sigma all 0.0."""
+        w = _random((8, 6), 29)
+        w[5, 2] = bad
+        with pytest.raises(NumericalError, match="NaN or inf"):
+            svd(w)
+
 
 class TestSplits:
     def test_partition_identity(self):
