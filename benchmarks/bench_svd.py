@@ -1,5 +1,6 @@
 """Benchmark the Jacobi sweep kernel that `lamda.svd` runs against the
-scalar cyclic loop it replaced (`tests/oracles.py::jacobi_sweeps_cyclic_ref`).
+scalar cyclic loop it replaced (`tests/oracles.py::jacobi_sweeps_cyclic_ref`),
+and one kernel call per operand against one call per stack of operands.
 
 Usage: PYTHONPATH=src python benchmarks/bench_svd.py [--sizes 32,64,128,256] [--repeats 3]
 
@@ -11,6 +12,15 @@ off-diagonals. Each row prints the sweeps, the kernel's global waves
 (batched numpy steps, counted in an untimed run; a wave of wide rows counts
 once per slice), the best wall time of each kernel and each one's
 tracemalloc peak (an untimed run).
+
+A second table takes the 10 spectral-init operands of the `finetune-toy-lamda`
+backbone (`perfbench/workloads.py`: the toy model pre-trained for 100 steps on
+`copy`, seed 0; six 64x64 and four 64x256 operands) and runs them through
+the kernel one at a time and stacked by shape, as `svd_many` does, and one
+64x64 operand alone. Both ways must give byte-equal factors, sweep counts
+and worst off-diagonals. Each row prints the kernel calls, the best wall
+time over the repeats (the two ways alternate), the time per operand and
+the tracemalloc peak of an untimed run, inputs excluded.
 """
 
 import argparse
@@ -26,8 +36,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from oracles import jacobi_sweeps_cyclic_ref  # noqa: E402
 
 from lamda import kernels  # noqa: E402
+from lamda.model import ToyTransformerConfig  # noqa: E402
+from lamda.train import TrainRunConfig, pretrain_backbone  # noqa: E402
 
 TOY_SHAPES = ((64, 64), (64, 256), (256, 64))
+# The finetune-toy-lamda backbone (perfbench/workloads.py).
+BACKBONE = dict(layers=2, d_model=64, heads=4, ffn_dim=256, vocab=32, context=16)
+PRETRAIN = dict(task_id="copy", steps=100, lr=3e-3, batch_size=16, seed=0)
 
 
 def _operands(w):
@@ -36,8 +51,12 @@ def _operands(w):
     return np.array(work.T, order="C", copy=True)
 
 
+def _fresh(at0):
+    return at0.copy(), np.eye(at0.shape[0])
+
+
 def _run(kernel, at0):
-    at, vt = at0.copy(), np.eye(at0.shape[0])
+    at, vt = _fresh(at0)
     start = time.perf_counter()
     sweeps, worst, converged = kernel(at, vt, 1e-12, 60)
     elapsed = time.perf_counter() - start
@@ -45,11 +64,12 @@ def _run(kernel, at0):
     return elapsed, (at.tobytes(), vt.tobytes(), sweeps, np.float64(worst).tobytes())
 
 
-def _peak_kb(kernel, at0):
-    at, vt = at0.copy(), np.eye(at0.shape[0])
+def _peak_kb(kernel, runs):
+    """The tracemalloc peak of `kernel` over (at, vt) runs, inputs excluded."""
     tracemalloc.start()
     try:
-        kernel(at, vt, 1e-12, 60)
+        for at, vt in runs:
+            kernel(at, vt, 1e-12, 60)
         return tracemalloc.get_traced_memory()[1] / 1024
     finally:
         tracemalloc.stop()
@@ -66,7 +86,7 @@ def _waves(at0):
 
     kernels._wave = counted
     try:
-        kernels.jacobi_sweeps(at0.copy(), np.eye(at0.shape[0]), 1e-12, 60)
+        kernels.jacobi_sweeps(*_fresh(at0), 1e-12, 60)
     finally:
         kernels._wave = wave
     return count[0]
@@ -81,8 +101,78 @@ def _row(label, shape, repeats):
         assert out_kernel == out_ref, f"{label}: kernel and cyclic loop differ"
         best_ref, best_kernel = min(best_ref, t_ref), min(best_kernel, t_kernel)
     print(f"{label:>12} {out_ref[2]:>6} {_waves(at0):>6} {best_ref:>10.4f} {best_kernel:>10.4f} "
-          f"{best_ref / best_kernel:>8.1f}x {_peak_kb(jacobi_sweeps_cyclic_ref, at0):>9.0f} "
-          f"{_peak_kb(kernels.jacobi_sweeps, at0):>9.0f}")
+          f"{best_ref / best_kernel:>8.1f}x "
+          f"{_peak_kb(jacobi_sweeps_cyclic_ref, [_fresh(at0)]):>9.0f} "
+          f"{_peak_kb(kernels.jacobi_sweeps, [_fresh(at0)]):>9.0f}")
+
+
+def _backbone_operands():
+    """The kernel operands of the backbone's spectral-init weights, in module order."""
+    cfg = ToyTransformerConfig(**BACKBONE)
+    weights = pretrain_backbone(cfg, **PRETRAIN)
+    modules = [f"L{i}.{k}" for i in range(cfg.layers) for k in TrainRunConfig.adapted_kinds]
+    return [_operands(np.asarray(weights[m], dtype=np.float64)) for m in modules]
+
+
+def _one_at_a_time(ats):
+    """Factors and results of one kernel call per operand; its wall time."""
+    runs = [_fresh(at) for at in ats]
+    start = time.perf_counter()
+    results = [kernels.jacobi_sweeps(at, vt, 1e-12, 60) for at, vt in runs]
+    elapsed = time.perf_counter() - start
+    return elapsed, [(at.tobytes(), vt.tobytes(), sweeps, np.float64(worst).tobytes(), converged)
+                     for (at, vt), (sweeps, worst, converged) in zip(runs, results)]
+
+
+def _stacks(ats):
+    """One stack per operand shape, in order of first appearance: (indices, at, vt)."""
+    groups = {}
+    for i, at in enumerate(ats):
+        groups.setdefault(at.shape, []).append(i)
+    return [(idx, np.stack([ats[i] for i in idx]),
+             np.broadcast_to(np.eye(ats[idx[0]].shape[0]),
+                             (len(idx),) + (ats[idx[0]].shape[0],) * 2).copy())
+            for idx in groups.values()]
+
+
+def _stacked(ats):
+    """Factors and results of one kernel call per stack; its wall time."""
+    stacks = _stacks(ats)
+    start = time.perf_counter()
+    results = [kernels.jacobi_sweeps(at, vt, 1e-12, 60) for _, at, vt in stacks]
+    elapsed = time.perf_counter() - start
+    out = [None] * len(ats)
+    for (idx, at, vt), (sweeps, worst, converged) in zip(stacks, results):
+        for b, i in enumerate(idx):
+            out[i] = (at[b].tobytes(), vt[b].tobytes(), int(sweeps[b]),
+                      np.float64(worst[b]).tobytes(), bool(converged[b]))
+    return elapsed, out
+
+
+def _stack_table(repeats):
+    ats = _backbone_operands()
+    best_one = best_stacked = best_single = float("inf")
+    for _ in range(repeats):
+        t_one, out_one = _one_at_a_time(ats)
+        t_stacked, out_stacked = _stacked(ats)
+        t_single, _ = _one_at_a_time(ats[:1])
+        assert out_stacked == out_one, "stacked and one-at-a-time kernels differ"
+        assert all(run[4] for run in out_one)
+        best_one, best_stacked = min(best_one, t_one), min(best_stacked, t_stacked)
+        best_single = min(best_single, t_single)
+    peaks = (
+        _peak_kb(kernels.jacobi_sweeps, [_fresh(at) for at in ats]),
+        _peak_kb(kernels.jacobi_sweeps, [(at, vt) for _, at, vt in _stacks(ats)]),
+        _peak_kb(kernels.jacobi_sweeps, [_fresh(ats[0])]),
+    )
+    print(f"{'backbone operands':>24} {'calls':>5} {'time (s)':>9} {'per op (ms)':>11} "
+          f"{'peak KB':>8}")
+    rows = (("10, one at a time", len(ats), best_one, len(ats)),
+            ("10, stacked by shape", len(_stacks(ats)), best_stacked, len(ats)),
+            ("one 64x64 alone", 1, best_single, 1))
+    for (label, calls, best, count), peak in zip(rows, peaks):
+        print(f"{label:>24} {calls:>5} {best:>9.4f} {best / count * 1e3:>11.2f} {peak:>8.0f}")
+    print(f"stacked: {best_one / best_stacked:.2f}x the one-at-a-time speed")
 
 
 def main():
@@ -98,6 +188,8 @@ def main():
           f"{'speed-up':>9} {'loop KB':>9} {'kernel KB':>9}")
     for label, shape in shapes:
         _row(label, shape, args.repeats)
+    print()
+    _stack_table(args.repeats)
 
 
 if __name__ == "__main__":

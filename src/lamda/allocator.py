@@ -100,19 +100,18 @@ def score_from_sigma(module, sigma, budget):
 def score_modules(weights, budget, decompositions=None):
     """Spectra and candidacy scores for a {module id: weight matrix} map.
 
-    When `decompositions` is a dict, each weight's SVD is stored in it under
-    the module id, so a caller can reuse it instead of decomposing again.
+    `decompositions`, if given, holds `svd` of each weight by module id,
+    and scoring reuses them instead of decomposing again. Every module's
+    shape is checked against the largest candidate rank first.
     """
+    for module, w in weights.items():
+        if budget.ranks[-1] > min(np.shape(w)):
+            raise ConfigError(
+                f"module {module!r}: rank {budget.ranks[-1]} exceeds min dim {min(np.shape(w))}"
+            )
     scores = []
     for module, w in weights.items():
-        w = np.asarray(w)
-        if budget.ranks[-1] > min(w.shape):
-            raise ConfigError(
-                f"module {module!r}: rank {budget.ranks[-1]} exceeds min dim {min(w.shape)}"
-            )
-        dec = svd(w)
-        if decompositions is not None:
-            decompositions[module] = dec
+        dec = svd(w) if decompositions is None else decompositions[module]
         scores.append(score_from_sigma(module, dec.sigma, budget))
     return scores
 

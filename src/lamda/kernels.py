@@ -18,19 +18,27 @@ sweep costs n batched numpy steps instead of n(n-1)/2 scalar ones, and
 consecutive sweeps overlap by n - 3 of them. Every rotation still meets
 exactly the rows the one-at-a-time loop would hand it. Each step makes the
 loop's comparisons and arithmetic elementwise, and its dot products go
-through `np.matmul` on (1, m) @ (m, 1) stacks, which numpy sends to the
-same BLAS dot as `np.dot` on two rows. The factors are therefore bit for
-bit those of the scalar loop (`tests/oracles.py::jacobi_sweeps_cyclic_ref`).
-A wave of wide rows runs in slices, which changes no bit either: its pairs
-are disjoint.
+through `np.vecdot`, which numpy sends to the same BLAS dot as `np.dot` on
+two rows. The factors are therefore bit for bit those of the scalar loop
+(`tests/oracles.py::jacobi_sweeps_cyclic_ref`). A wave of wide rows runs
+in slices, which changes no bit either: its pairs are disjoint.
+
+Each numpy step costs a few microseconds whatever its size, and a toy
+64 x 64 problem takes about 700 of them, so one call can also sweep a
+stack of B independent problems of one shape. Their rows share one work
+array, each wave gathers the same pairs of every problem (row indices
+offset by the problem's first row), and every problem keeps its own worst
+value, convergence test and stop. A problem's pairs meet the same rows and
+the same arithmetic as in its own call, so its results are bit for bit the
+same; one problem is the case B = 1.
 
 The loop tests convergence after each sweep, so the head of the next sweep
 runs speculatively. It is a no-op whenever the converged sweep rotated
 nothing. A converged sweep can still rotate pairs whose relative
 off-diagonal is NaN, because the worst value skips NaN; if the next
-sweep's head then rotated anything, the kernel starts again from `at`/`vt`
-(left untouched until the final write-back) and stops at the converged
-sweep.
+sweep's head then rotated anything, the kernel starts that problem again
+from its `at`/`vt` (left untouched until the final write-back) and stops
+at the converged sweep.
 """
 
 import functools
@@ -42,7 +50,9 @@ _TINY = 1e-300
 # equal slices. Unsliced, such waves ran 13-22% slower than the unpipelined
 # kernel at n = 192 and 256, and a 64 x 2048 SVD took 2.2x its time with
 # 200k page faults: malloc mapped and unmapped the same-sized temporaries
-# anew on every wave. Toy shapes never slice.
+# anew on every wave. One toy operand never slices; a stack slices by whole
+# problems, so the toy backbone's four 64 x 256 operands run as two slices
+# of two. A 128 KB or 192 KB limit gave a slower toy fine-tune set-up.
 _SLICE_BYTES = 1 << 18
 
 
@@ -65,39 +75,42 @@ def _schedule(n):
 
 
 def _dots(x, y):
-    """Row-wise dot products, bit for bit `np.dot(x[i], y[i])`.
+    """Row-wise dot products over the last axis, bit for bit `np.dot` of
+    each pair of rows.
 
     np.dot multiplies rows of length 1 as scalars (keeping a -0.0 product)
-    and sends longer rows to BLAS dot, as matmul does with each
-    (1, m) @ (m, 1) product of the stack.
+    and sends longer rows to BLAS dot, as vecdot does with each pair.
     """
-    if x.shape[1] == 1:
-        return x[:, 0] * y[:, 0]
-    return (x[:, None, :] @ y[:, :, None]).ravel()
+    if x.shape[-1] == 1:
+        return x[..., 0] * y[..., 0]
+    return np.vecdot(x, y)
 
 
-def _wave(work, m, tol, ip, iq, k):
+def _wave(work, m, tol, ip, iq, k, out):
     """Rotate the row pairs (ip, iq) of `work` = [at | vt] in place.
 
-    The first k pairs belong to the older of two sweeps in flight. Returns
-    the worst relative off-diagonal of the older and of the newer pairs,
-    and how many newer pairs rotated.
+    Row a of the (A, P) index arrays holds one problem's pairs, of which the
+    first k belong to the older of two sweeps in flight. Writes, per
+    problem, the worst relative off-diagonal of the older and of the newer
+    pairs and whether any newer pair rotated into out = (old, new, head).
     """
     rp, rq = work[ip], work[iq]
-    ap, aq = rp[:, :m], rq[:, :m]
+    ap, aq = rp[..., :m], rq[..., :m]
     app, aqq, apq = _dots(ap, ap), _dots(aq, aq), _dots(ap, aq)
     denom = np.sqrt(app * aqq)
-    # The loop's own comparisons, NaN included: skip only denom <= tiny;
-    # a NaN rel neither raises `worst` nor counts as converged.
-    keep = ~(denom <= _TINY)
+    # The loop's own comparisons, NaN included: a pair with denom <= tiny
+    # is skipped (its rel of -inf neither raises `worst` nor rotates, for
+    # any tol but NaN); a NaN rel neither raises `worst` nor counts as
+    # converged.
     rel = np.abs(apq) / denom
-    top_old = np.fmax.reduce(rel[:k], where=keep[:k], initial=0.0)
-    top_new = np.fmax.reduce(rel[k:], where=keep[k:], initial=0.0)
-    rot = keep & ~(rel <= tol)
+    rel[denom <= _TINY] = -np.inf
+    np.fmax.reduce(rel[:, :k], axis=1, initial=0.0, out=out[0])
+    np.fmax.reduce(rel[:, k:], axis=1, initial=0.0, out=out[1])
+    rot = ~(rel <= tol)
+    np.logical_or.reduce(rot[:, k:], axis=1, out=out[2])
     count = np.count_nonzero(rot)
     if count == 0:
-        return top_old, top_new, 0
-    rotated_new = np.count_nonzero(rot[k:])
+        return
     if count < rot.size:  # pairs left unrotated keep every bit, signed zeros too
         ip, iq, rp, rq = ip[rot], iq[rot], rp[rot], rq[rot]
         app, aqq, apq = app[rot], aqq[rot], apq[rot]
@@ -106,46 +119,108 @@ def _wave(work, m, tol, ip, iq, k):
     # root - tau is the loop's -tau + root, down to the sign of a NaN.
     t = np.where(tau >= 0.0, 1.0 / (tau + root), -1.0 / (root - tau))
     c = 1.0 / np.sqrt(1.0 + t * t)
-    s = (c * t)[:, None]
-    c = c[:, None]
+    s = (c * t)[..., None]
+    c = c[..., None]
     work[ip] = c * rp - s * rq
     work[iq] = s * rp + c * rq
-    return top_old, top_new, rotated_new
 
 
-def _sweeps(work, m, tol, max_sweeps):
-    """Up to max_sweeps overlapped cyclic sweeps over the rows of `work`, in
-    place. Returns (sweeps, worst, converged, clean); clean is False when
-    the last sweep converged after the next sweep's head had rotated a pair.
+def _sliced_wave(work, m, tol, ip, iq, k, out, slice_pairs):
+    """`_wave` in slices of at most slice_pairs pairs: whole problems
+    together while a problem's pairs fit, else one problem's pairs in equal
+    parts. The slices' pairs are disjoint, so no bit changes."""
+    count, size = ip.shape
+    together = max(1, slice_pairs // max(size, 1))  # problems per slice
+    groups = -(-count // together)  # ceiling division
+    parts = max(1, -(-size // slice_pairs))  # slices of one problem's pairs
+    for j in range(groups):
+        a, b = count * j // groups, count * (j + 1) // groups
+        group = tuple(x[a:b] for x in out)
+        for t in range(parts):
+            p, q = size * t // parts, size * (t + 1) // parts
+            part = group if t == 0 else tuple(np.empty_like(x) for x in group)
+            _wave(work, m, tol, ip[a:b, p:q], iq[a:b, p:q], max(k - p, 0), part)
+            if t:
+                np.fmax(group[0], part[0], out=group[0])
+                np.fmax(group[1], part[1], out=group[1])
+                np.logical_or(group[2], part[2], out=group[2])
+
+
+def _offset_waves(schedule, base):
+    """The schedule's waves for the problems whose rows start at `base`:
+    per r, (A, P) row indices, one row of pairs per problem, and k_old.
+    Every wave is a view of one block per index array."""
+    if base.tolist() == [0]:  # one problem, at row 0: views of the schedule's block
+        return [(ip[None], iq[None], k) for ip, iq, k in schedule]
+    base = base[:, None]
+    ip, iq = (np.concatenate([wave[i] for wave in schedule]) + base for i in (0, 1))
+    waves, start = [], 0
+    for wave in schedule:
+        stop = start + wave[0].size
+        waves.append((ip[:, start:stop], iq[:, start:stop], wave[2]))
+        start = stop
+    return waves
+
+
+def _sweeps(work, n, m, tol, max_sweeps, problems):
+    """Up to max_sweeps overlapped cyclic sweeps over the n rows of each
+    problem b in `problems` (rows b*n .. b*n + n - 1 of `work`), in place.
+
+    Returns arrays (sweeps, worst, converged, clean) in the order of
+    `problems`; clean is False where the last sweep converged after the
+    next sweep's head had rotated a pair.
     """
+    problems = np.asarray(problems)
+    count = problems.size
+    sweeps = np.full(count, max_sweeps)
+    worst = np.zeros(count)
+    converged = np.zeros(count, dtype=bool)
+    clean = np.ones(count, dtype=bool)
     if max_sweeps < 1:
-        return max_sweeps, 0.0, False, True
-    n = max(work.shape[0], 1)  # no rows, like one row, means no pairs
-    schedule = _schedule(n)
-    lag = max(2 * n - 4, 0)  # global waves from a sweep's first to its last
+        return sweeps, worst, converged, clean
+    n_eff = max(n, 1)  # no rows, like one row, means no pairs
+    schedule = _schedule(n_eff)
+    lag = max(2 * n_eff - 4, 0)  # global waves from a sweep's first to its last
     slice_pairs = max(1, _SLICE_BYTES // (work.strides[0] or 1))  # bytes per row
-    worst = [0.0, 0.0]  # per sweep in flight, by parity
-    rotated = [0, 0]
+    # Per global wave g, in row g % ring, each running problem's worst value
+    # among the older and the newer pairs, and whether a newer pair rotated.
+    ring = 2 * n_eff
+    old, new = np.zeros((ring, count)), np.zeros((ring, count))
+    head = np.zeros((ring, count), dtype=bool)
+    live = np.arange(count)  # positions in `problems` still sweeping
+    waves = _offset_waves(schedule, n * problems)
     g = 0
     while True:
-        s, r = divmod(g, n)
-        ip, iq, k = schedule[r]
-        lo = k if s == 0 else 0  # sweep -1 does not exist
-        hi = k if s == max_sweeps else ip.size  # sweep max_sweeps never starts
-        parts = -(-(hi - lo) // slice_pairs)  # ceiling division; 0 for an empty wave
-        for j in range(parts):
-            a, b = lo + (hi - lo) * j // parts, lo + (hi - lo) * (j + 1) // parts
-            top_old, top_new, rotated_new = _wave(work, m, tol, ip[a:b], iq[a:b], max(k - a, 0))
-            worst[(s - 1) % 2] = max(worst[(s - 1) % 2], top_old)
-            worst[s % 2] = max(worst[s % 2], top_new)
-            rotated[s % 2] += rotated_new
-        if g >= lag and (g - lag) % n == 0:  # sweep f has run its last wave
-            f = (g - lag) // n
-            if worst[f % 2] <= tol:
-                return f + 1, worst[f % 2], True, not rotated[(f + 1) % 2]
-            if f + 1 == max_sweeps:
-                return max_sweeps, worst[f % 2], False, True
-            worst[f % 2], rotated[f % 2] = 0.0, 0  # the slot of sweep f + 2
+        s, r = divmod(g, n_eff)
+        ip, iq, k = waves[r]
+        row = g % ring
+        out = old[row], new[row], head[row]
+        if 0 < s < max_sweeps and ip.size <= slice_pairs:  # the whole wave in one go
+            _wave(work, m, tol, ip, iq, k, out)
+        else:
+            lo = k if s == 0 else 0  # sweep -1 does not exist
+            hi = k if s == max_sweeps else ip.shape[1]  # sweep max_sweeps never starts
+            _sliced_wave(work, m, tol, ip[:, lo:hi], iq[:, lo:hi], k - lo, out, slice_pairs)
+        if g >= lag and (g - lag) % n_eff == 0:  # sweep f has run its last wave
+            f = (g - lag) // n_eff
+            first, ran = f * n_eff % ring, g + 1 - f * n_eff
+            # Sweep f's pairs are the newer ones of its first n waves and the
+            # older ones of the waves after them; those also ran the head of
+            # sweep f + 1.
+            tail = slice((first + n_eff) % ring, (first + n_eff) % ring + max(ran - n_eff, 0))
+            top = np.fmax(new[first:first + min(n_eff, ran)].max(axis=0, initial=0.0),
+                          old[tail].max(axis=0, initial=0.0))
+            done = top <= tol
+            stop = np.ones_like(done) if f + 1 == max_sweeps else done
+            if stop.any():
+                ended = live[stop]
+                sweeps[ended], worst[ended], converged[ended] = f + 1, top[stop], done[stop]
+                clean[ended] = ~(done[stop] & head[tail].any(axis=0)[stop])
+                live = live[~stop]
+                if live.size == 0:
+                    return sweeps, worst, converged, clean
+                old, new, head = old[:, ~stop], new[:, ~stop], head[:, ~stop]
+                waves = _offset_waves(schedule, n * problems[live])
         g += 1
 
 
@@ -157,14 +232,27 @@ def jacobi_sweeps(at, vt, tol, max_sweeps):
     product, both float64. Returns (sweeps_used,
     worst_rel_offdiag_seen_last_sweep, converged). A pair (p, q) counts as
     converged when |<a_p, a_q>| / (|a_p| * |a_q|) <= tol.
+
+    `at` may also be a (B, n, m) stack with `vt` (B, n, n): B independent
+    problems of one shape, swept together. The result is then three arrays
+    of length B, and every problem's factors and results are bit for bit
+    those of its own 2-D call.
     """
-    m = at.shape[1]
+    stacked = at.ndim == 3
+    a3, v3 = (at, vt) if stacked else (at[None], vt[None])
+    count, n, m = a3.shape
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        work = np.concatenate([at, vt], axis=1)  # one gather and one rotation per wave
-        sweeps, worst, converged, clean = _sweeps(work, m, tol, max_sweeps)
-        if not clean:  # undo the next sweep's speculative head: rerun, stopping here
-            work = np.concatenate([at, vt], axis=1)
-            sweeps, worst, converged, _ = _sweeps(work, m, tol, sweeps)
-    at[...] = work[:, :m]
-    vt[...] = work[:, m:]
-    return sweeps, worst, converged
+        # One gather and one rotation per wave: each problem's n rows of
+        # [at | vt] follow the previous problem's.
+        work = np.concatenate([a3, v3], axis=2).reshape(count * n, m + n)
+        sweeps, worst, converged, clean = _sweeps(work, n, m, tol, max_sweeps, np.arange(count))
+        for b in np.flatnonzero(~clean):  # undo its next sweep's speculative head:
+            rows = slice(b * n, (b + 1) * n)  # rerun, stopping at the converged sweep
+            work[rows] = np.concatenate([a3[b], v3[b]], axis=1)
+            rerun = _sweeps(work, n, m, tol, int(sweeps[b]), [b])
+            sweeps[b], worst[b], converged[b] = (x[0] for x in rerun[:3])
+    a3[...] = work[:, :m].reshape(count, n, m)
+    v3[...] = work[:, m:].reshape(count, n, n)
+    if stacked:
+        return sweeps, worst, converged
+    return int(sweeps[0]), float(worst[0]), bool(converged[0])

@@ -4,6 +4,7 @@ All decomposition arithmetic runs in float64 regardless of the global
 float mode; callers cast the factors back down if they train in f32.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from .kernels import jacobi_sweeps
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 60
+_SAFE_EXP = 255  # the kernel's range for a matrix's largest entry (see `_operand`)
 
 
 @dataclass
@@ -45,30 +47,75 @@ def svd(w, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
     """Jacobi SVD of a d_in x d_out matrix; k = min(d_in, d_out) >= 1.
 
     The sweep runs on the side with fewer columns so the rotation count
-    stays k*(k-1)/2 per sweep.
+    stays k*(k-1)/2 per sweep. This is the one-matrix case of `svd_many`.
     """
+    return svd_many({"matrix": w}, tol, max_sweeps)["matrix"]
+
+
+def svd_many(weights, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
+    """`svd` of every matrix of a {key: matrix} map, as {key: decomposition}.
+
+    Every matrix is checked before any is decomposed. Matrices whose kernel
+    operands have one shape are swept as one stack (`kernels.jacobi_sweeps`),
+    and each decomposition is bit for bit that of the matrix's own call.
+    """
+    operands = {key: _operand(key, w) for key, w in weights.items()}
+    groups = {}
+    for key, (work, _, _) in operands.items():
+        groups.setdefault(work.T.shape, []).append(key)
+    decs = {}
+    for (k, m), keys in groups.items():
+        # The stack is a copy: the kernel works in place and must never
+        # touch a caller's buffer (work.T can alias a contiguous input).
+        at = np.empty((len(keys), k, m))
+        for b, key in enumerate(keys):
+            at[b] = operands[key][0].T  # rows are working columns
+        vt = np.broadcast_to(np.eye(k), at.shape[:1] + (k, k)).copy()
+        _, worst, converged = jacobi_sweeps(at, vt, tol, max_sweeps)
+        for b, key in enumerate(keys):
+            if not converged[b]:
+                raise NumericalError(
+                    f"jacobi svd of {key!r} did not converge in {max_sweeps} sweeps "
+                    f"(relative off-diagonal {worst[b]:.3e})"
+                )
+            decs[key] = _factors(key, at[b], vt[b], *operands[key][1:])
+    return {key: decs[key] for key in weights}
+
+
+def _operand(key, w):
+    """(work, flipped, exponent) for one checked matrix: work's columns are
+    the k side, scaled by 2**exponent when the matrix leaves the kernel's
+    safe range."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
-        raise ConfigError(f"svd expects a matrix, got shape {w.shape}")
-    d_in, d_out = w.shape
-    if min(d_in, d_out) == 0:
-        raise ConfigError(f"svd expects a non-empty matrix, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise NumericalError(f"svd input of shape {w.shape} holds NaN or inf")
-    flipped = d_out > d_in
-    work = w.T if flipped else w  # columns = k side
+        raise ConfigError(f"svd expects a matrix, got shape {w.shape} for {key!r}")
+    if min(w.shape) == 0:
+        raise ConfigError(f"svd expects a non-empty matrix, got shape {w.shape} for {key!r}")
+    top = max(w.max(), -w.min())  # NaN if any entry is NaN
+    if not np.isfinite(top):
+        raise NumericalError(f"svd input {key!r} of shape {w.shape} holds NaN or inf")
+    exponent = 0
+    # The kernel multiplies two squared column norms. That overflows once
+    # the Frobenius norm (at most sqrt(size) * top) nears 2**256, and leaves
+    # the normal range, or flushes to zero, once top falls below about
+    # 2**-255. Out of range, a power-of-two scale is exact and undone on
+    # sigma; in range, the input keeps every bit.
+    if top and not 2.0**-_SAFE_EXP <= top <= 2.0**_SAFE_EXP / math.sqrt(w.size):
+        exponent = -math.frexp(top)[1]  # largest entry into [0.5, 1)
+        scaled = np.ldexp(w, exponent)
+        if not np.array_equal(np.ldexp(scaled, -exponent), w):
+            raise NumericalError(
+                f"svd input {key!r} spans too many orders of magnitude: scaling its "
+                f"largest entry {top:.3e} into range flushes its smallest ones"
+            )
+        w = scaled
+    flipped = w.shape[1] > w.shape[0]
+    return (w.T if flipped else w), flipped, exponent
 
-    # Always copy: the kernel mutates `at` in place and must never touch
-    # the caller's buffer (work.T can alias the input when it is contiguous).
-    at = np.array(work.T, order="C", copy=True)  # k x m, rows are working columns
-    vt = np.eye(at.shape[0])
-    sweeps, worst, converged = jacobi_sweeps(at, vt, tol, max_sweeps)
-    if not converged:
-        raise NumericalError(
-            f"jacobi svd did not converge in {max_sweeps} sweeps "
-            f"(relative off-diagonal {worst:.3e})"
-        )
 
+def _factors(key, at, vt, flipped, exponent):
+    """The decomposition from the kernel's orthogonalized rows `at` and
+    rotations `vt`."""
     sigma = np.sqrt(np.einsum("ij,ij->i", at, at))
     order = np.argsort(-sigma, kind="stable")
     sigma = sigma[order]
@@ -88,6 +135,11 @@ def svd(w, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
         u[:, j] = _complete_column(u, j)
 
     _fix_signs(u, v)
+    if exponent:
+        with np.errstate(over="ignore"):
+            sigma = np.ldexp(sigma, -exponent)
+        if np.isinf(sigma[0]):
+            raise NumericalError(f"svd of {key!r}: the largest singular value overflows float64")
     if flipped:
         u, v = v, u
     return SpectralDecomposition(u=u, sigma=sigma, v=v)

@@ -15,6 +15,7 @@ from .accounting import KINDS
 from .adapter import AdapterConfig, build_adapter, build_lora
 from .errors import ConfigError, NumericalError
 from .model import ToyTransformer, ToyTransformerConfig
+from .svd import svd_many
 from .tasks import make_task
 from .tensor import Tape, get_float_mode
 
@@ -62,6 +63,8 @@ class TrainRunConfig:
             raise ConfigError(f"ti_fraction {self.ti_fraction} outside [0, 1]")
         if self.method == "lamda++" and not (self.budget_ranks or self.rank_plan):
             raise ConfigError("lamda++ needs budget_ranks/budget_target or rank_plan")
+        if self.method == "lamda++" and not self.rank_plan:
+            _alloc.RankBudget(ranks=tuple(self.budget_ranks), target=self.budget_target)
 
     def digest(self):
         doc = asdict(self)
@@ -140,8 +143,8 @@ def count_retained_activations(tape, param_ids):
 def resolve_ranks(cfg, backbone_weights, module_ids, decompositions=None):
     """Per-module adapter ranks for the configured method.
 
-    A LaMDA++ budget scores each weight by its SVD; when `decompositions` is
-    a dict, those SVDs are stored in it by module id (see `score_modules`).
+    A LaMDA++ budget scores each weight by its SVD; `decompositions`, if
+    given, holds those SVDs by module id (see `score_modules`).
     """
     if cfg.method in ("full",):
         return {}
@@ -192,10 +195,22 @@ def build_run(cfg, backbone_weights=None):
         return model, opt, schedules
 
     module_ids = model.linear_module_ids(cfg.adapted_kinds)
-    decompositions = {}  # LaMDA++ scoring's SVDs, reused by spectral init
-    ranks = resolve_ranks(
-        cfg, {m: model.params[m].data for m in module_ids}, module_ids, decompositions
-    )
+    weights = {m: model.params[m].data for m in module_ids}
+    scored = cfg.method == "lamda++" and not cfg.rank_plan  # ranks from spectra
+    ranks = {} if scored else resolve_ranks(cfg, weights, module_ids)
+    decompositions = {}
+    if cfg.method != "lora":
+        # Every rank must fit its weight before any SVD runs. A budget gives
+        # each module one of its candidate ranks, so its largest is checked.
+        largest = max(cfg.budget_ranks) if scored else None
+        for m, w in weights.items():
+            AdapterConfig(rank=ranks.get(m, largest), shape=w.shape, alpha=cfg.alpha,
+                          init_mode=cfg.init_mode).validate()
+        if scored or cfg.init_mode != "kaiming":
+            # Spectral init and budget scoring share one SVD per weight.
+            decompositions = svd_many(weights)
+    if scored:
+        ranks = resolve_ranks(cfg, weights, module_ids, decompositions)
     ti = int(round(cfg.ti_fraction * cfg.total_steps))
     for i, module in enumerate(sorted(ranks)):
         w, r, seed = model.params[module].data, ranks[module], cfg.seed * 7919 + i

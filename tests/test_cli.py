@@ -91,6 +91,14 @@ class TestAnalyzePlan:
         assert not scores.exists() and not energy.exists()
 
 
+    def test_matrix_no_scale_fits_is_numerical_error(self, tmp_path, capsys):
+        weights = tmp_path / "w.ldwt"
+        container.write_weights(weights, {"L0.q": np.diag([1e300] + [1.0] * 6 + [1e-300])})
+        assert run_cli("analyze", "--weights", str(weights), "--ranks", "1,2,3",
+                       "--target", "2") == 3
+        assert "orders of magnitude" in capsys.readouterr().err
+
+
 class TestCount:
     def test_lamda_json_and_csv(self, tmp_path):
         out = tmp_path / "count.json"

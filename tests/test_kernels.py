@@ -168,29 +168,31 @@ _ORACLE_CASES = {
 
 @pytest.fixture
 def rollbacks(monkeypatch):
-    """The number of times jacobi_sweeps rolled back a speculative sweep head."""
+    """The number of problems whose speculative sweep head jacobi_sweeps rolled back."""
     count = [0]
     run = kernels._sweeps
 
     def counted(*args):
         out = run(*args)
-        count[0] += not out[3]
+        count[0] += int(np.count_nonzero(~out[3]))
         return out
 
     monkeypatch.setattr(kernels, "_sweeps", counted)
     return count
 
 
+def _run(sweeps_fn, at0, tol, max_sweeps):
+    """(at, vt, sweeps, worst, converged) bytes from one 2-D call."""
+    at, vt = at0.copy(), np.eye(at0.shape[0])
+    with np.errstate(all="ignore"):
+        sweeps, worst, converged = sweeps_fn(at, vt, tol, max_sweeps)
+    return _sha256(at), _sha256(vt), sweeps, np.float64(worst).tobytes(), bool(converged)
+
+
 def _both_kernels(at0, tol, max_sweeps):
     """(at, vt, sweeps, worst, converged) bytes from the kernel and the loop."""
-    runs = []
-    for sweeps_fn in (kernels.jacobi_sweeps, oracles.jacobi_sweeps_cyclic_ref):
-        at, vt = at0.copy(), np.eye(at0.shape[0])
-        with np.errstate(all="ignore"):
-            sweeps, worst, converged = sweeps_fn(at, vt, tol, max_sweeps)
-        runs.append((_sha256(at), _sha256(vt), sweeps,
-                     np.float64(worst).tobytes(), bool(converged)))
-    return runs
+    return [_run(sweeps_fn, at0, tol, max_sweeps)
+            for sweeps_fn in (kernels.jacobi_sweeps, oracles.jacobi_sweeps_cyclic_ref)]
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
@@ -252,4 +254,103 @@ def test_fuzz_bitwise_equals_cyclic_loop(rollbacks, monkeypatch, slice_bytes):
         max_sweeps = (0, 1, 2, 3, 60 if tol > 0 else 5)[rng.integers(5)]
         runs = _both_kernels(at, tol, max_sweeps)
         assert runs[0] == runs[1], (at, tol, max_sweeps)
+    assert rollbacks[0] > 0
+
+
+def _stacked_runs(ats, tol, max_sweeps):
+    """Per problem, (at, vt, sweeps, worst, converged) bytes from one stacked call."""
+    at = np.stack(ats)
+    vt = np.stack([np.eye(a.shape[0]) for a in ats])
+    with np.errstate(all="ignore"):
+        sweeps, worst, converged = kernels.jacobi_sweeps(at, vt, tol, max_sweeps)
+    return [(_sha256(at[b]), _sha256(vt[b]), int(sweeps[b]), np.float64(worst[b]).tobytes(),
+             bool(converged[b])) for b in range(len(ats))]
+
+
+def _loop_runs(ats, tol, max_sweeps):
+    """Per problem, (at, vt, sweeps, worst, converged) bytes from the scalar loop."""
+    return [_run(oracles.jacobi_sweeps_cyclic_ref, at, tol, max_sweeps) for at in ats]
+
+
+def _square(seed, n):
+    return _svd_operands(_rng_normal(seed, (n, n)))
+
+
+# (problems of one shape, max_sweeps)
+_STACK_CASES = {
+    "different-sweep-counts": ([_hadamard_rows(8), _square(40, 8), -np.zeros((8, 8)),
+                                _svd_operands(_rng_normal(41, (8, 3)) @ _rng_normal(42, (3, 8)))],
+                               60),
+    "max-sweeps-cut-off": ([_square(43, 8), _hadamard_rows(8), _square(44, 8)], 2),
+    "nan-rollback-in-stack": ([_square(45, 8), _hadamard_with_nan(), _square(46, 8),
+                               _hadamard_rows(8)], 60),
+    "rows-of-length-1": ([np.array([[2.0], [-0.0], [1e300], [-3.0]]),
+                          np.array([[1.0], [2.0], [0.0], [5.0]]),
+                          np.array([[-0.0], [-0.0], [4.0], [np.nan]])], 60),
+    "n1": ([_rng_normal(47, (1, 5)), np.zeros((1, 5)), _rng_normal(48, (1, 5))], 60),
+    # Four toy ffn operands: a wave gathers 4 x 32 rows of (256 + 64) floats
+    # per array, past _SLICE_BYTES, so it runs in two slices of two problems.
+    "toy-64x256-sliced": ([_svd_operands(_rng_normal(49 + i, (64, 256))) for i in range(4)], 60),
+}
+_STACK_PARAMS = [(case, slice_bytes) for case in _STACK_CASES if not case.startswith("toy")
+                 for slice_bytes in (None, 200, 2000)] + [("toy-64x256-sliced", None)]
+
+
+@pytest.mark.parametrize("case, slice_bytes", _STACK_PARAMS)
+def test_stack_bitwise_equals_cyclic_loop_per_problem(case, slice_bytes, rollbacks, monkeypatch):
+    """One stacked call gives every problem the scalar loop's factors, sweep
+    count, worst off-diagonal and convergence flag, bit for bit, whether
+    its waves run whole, in slices of whole problems (2000 bytes, and the
+    toy stack at the default) or in slices of one problem's pairs (200)."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(kernels, "_SLICE_BYTES", slice_bytes)
+    ats, max_sweeps = _STACK_CASES[case]
+    if case == "toy-64x256-sliced":
+        assert 4 * 32 * (256 + 64) * 8 > kernels._SLICE_BYTES
+    want = _loop_runs(ats, 1e-12, max_sweeps)
+    assert _stacked_runs(ats, 1e-12, max_sweeps) == want
+    if case == "different-sweep-counts":
+        assert len({run[2] for run in want}) > 2 and all(run[4] for run in want)
+    if case == "max-sweeps-cut-off":
+        assert [run[4] for run in want] == [False, True, False]
+    # The one problem with a NaN reruns; the others of its stack do not.
+    assert rollbacks[0] == (case in ("nan-rollback-in-stack", "rows-of-length-1"))
+
+
+def test_two_dimensional_call_is_the_one_problem_stack():
+    at0 = _square(60, 16)
+    at2, vt2 = at0.copy(), np.eye(16)
+    flat = kernels.jacobi_sweeps(at2, vt2, 1e-12, 60)
+    at3, vt3 = at0[None].copy(), np.eye(16)[None].copy()
+    stacked = kernels.jacobi_sweeps(at3, vt3, 1e-12, 60)
+    assert isinstance(flat[0], int) and isinstance(flat[1], float) and isinstance(flat[2], bool)
+    assert [x[0] for x in stacked] == list(flat)
+    assert at3[0].tobytes() == at2.tobytes() and vt3[0].tobytes() == vt2.tobytes()
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 200, 1000])
+def test_fuzz_stacks_bitwise_equal_cyclic_loop(rollbacks, monkeypatch, slice_bytes):
+    """Stacks of one to five small problems of one shape, with the special
+    values, zero and duplicate rows, tolerances and sweep caps of the
+    single-problem fuzz: each problem matches its own scalar loop."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(kernels, "_SLICE_BYTES", slice_bytes)
+    rng = np.random.default_rng(910)
+    for _ in range(150):
+        n = int(rng.integers(0, 9))
+        m = int(rng.integers(max(n, 1), 10))
+        ats = []
+        for _ in range(int(rng.integers(1, 6))):
+            at = rng.normal(size=(n, m))
+            for _ in range(int(rng.integers(0, 3)) if n else 0):
+                at[rng.integers(n), rng.integers(m)] = _SPECIALS[rng.integers(len(_SPECIALS))]
+            if n > 1 and rng.random() < 0.2:
+                at[rng.integers(n)] = 0.0
+            if n > 1 and rng.random() < 0.2:
+                at[rng.integers(n)] = at[rng.integers(n)]
+            ats.append(at)
+        tol = (1e-12, 0.0, 1e-3, -1.0)[rng.integers(4)]
+        max_sweeps = (0, 1, 2, 3, 60 if tol > 0 else 5)[rng.integers(5)]
+        assert _stacked_runs(ats, tol, max_sweeps) == _loop_runs(ats, tol, max_sweeps), (
+            ats, tol, max_sweeps)
     assert rollbacks[0] > 0

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 import oracles
 from lamda.errors import ConfigError, NumericalError
-from lamda.svd import (energy_score, split_spectrum, split_spectrum_tail, svd)
+from lamda.svd import (energy_score, split_spectrum, split_spectrum_tail, svd,
+                       svd_many)
 
 SHAPES = [(4, 6), (6, 4), (8, 8), (1, 5), (5, 1), (32, 48), (48, 32)]
 
@@ -81,6 +84,74 @@ class TestDecomposition:
         w[5, 2] = bad
         with pytest.raises(NumericalError, match="NaN or inf"):
             svd(w)
+
+
+class TestExtremeMagnitude:
+    @pytest.mark.parametrize("scale", [1e78, 1e160, 1e-170])
+    def test_matches_lapack_outside_the_kernels_range(self, scale):
+        """The kernel's squared column norms overflow or flush to zero here
+        (1e78 gave a max relative sigma error of 0.29, 1e160 and 1e-170
+        sigma all 0.0), so svd scales by a power of two and back."""
+        w = _random((8, 6), 37) * scale
+        want = np.linalg.svd(w, compute_uv=False)
+        many = svd_many({"other": _random((6, 8), 38), "w": w})["w"]
+        for dec in (svd(w), many):
+            assert np.abs(dec.sigma - want).max() <= 1e-14 * want[0]
+            assert np.abs(dec.u.T @ dec.u - np.eye(6)).max() <= 1e-12
+            assert np.abs(dec.v.T @ dec.v - np.eye(6)).max() <= 1e-12
+            assert np.abs(dec.reconstruct() - w).max() <= 1e-13 * np.abs(w).max()
+
+    def test_no_single_scale_fits(self):
+        with pytest.raises(NumericalError, match="orders of magnitude"):
+            svd(np.diag([1e300, 1.0, 1e-300]))  # 1e-300 would flush to zero
+        with pytest.raises(NumericalError, match="overflows"):
+            svd(np.full((2, 2), 1e308))  # sigma 2e308
+
+
+class TestSvdMany:
+    WEIGHTS = {
+        "tall": _random((12, 8), 1),
+        "wide": _random((8, 12), 2),  # its operand has the shape of tall's
+        "square": _random((5, 5), 3),
+        "rank-one": _random((12, 1), 4) @ _random((1, 8), 5),
+        "huge": _random((12, 8), 6) * 1e78,
+        "row": _random((1, 7), 7),
+    }
+
+    def test_equals_svd_key_by_key_bitwise(self):
+        many = svd_many(self.WEIGHTS)
+        assert list(many) == list(self.WEIGHTS)
+        for key, w in self.WEIGHTS.items():
+            one = svd(w)
+            for name in ("u", "sigma", "v"):
+                assert getattr(many[key], name).tobytes() == getattr(one, name).tobytes(), key
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        svd_module = sys.modules["lamda.svd"]  # `lamda.svd` names the function
+        kernel, calls = svd_module.jacobi_sweeps, []
+
+        def counted(at, *args):
+            calls.append(at.shape)
+            return kernel(at, *args)
+
+        monkeypatch.setattr(svd_module, "jacobi_sweeps", counted)
+        return calls
+
+    def test_one_stack_per_operand_shape(self, kernel_calls):
+        svd_many(self.WEIGHTS)
+        assert kernel_calls == [(4, 8, 12), (1, 5, 5), (1, 1, 7)]
+
+    def test_checks_every_input_before_decomposing(self, kernel_calls):
+        bad = _random((8, 6), 8)
+        bad[1, 1] = np.nan
+        with pytest.raises(NumericalError, match="'bad'"):
+            svd_many({"good": _random((8, 6), 9), "bad": bad})
+        assert kernel_calls == []
+
+    def test_non_convergence_names_the_matrix(self):
+        with pytest.raises(NumericalError, match="'L0.q' did not converge"):
+            svd_many({"L0.q": _random((6, 6), 17)}, max_sweeps=0)
 
 
 class TestSplits:

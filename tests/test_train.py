@@ -165,7 +165,9 @@ class TestResolveRanks:
         cfg = TrainRunConfig(method="lamda++", budget_ranks=(4, 8, 12), budget_target=8,
                              total_steps=1, batch_size=2, model=toy_cfg)
         train(cfg)
-        assert len(calls) == 10  # 2 layers x 5 adapted kinds
+        # 2 layers x 5 adapted kinds, each decomposed once, in one stack per
+        # operand shape: q, k, v are 64 x 64 and ffn1, ffn2 64 x 256.
+        assert calls == [(6, 64, 64), (4, 64, 256)]
 
         model, _, _ = build_run(cfg)
         modules = sorted(model.adapters)
@@ -179,6 +181,25 @@ class TestResolveRanks:
             assert list(got.tensors()) == list(want.tensors())
             for name, t in want.tensors().items():
                 assert got.tensors()[name].data.tobytes() == t.data.tobytes(), (module, name)
+
+
+    @pytest.mark.parametrize("bad", [
+        dict(method="lamda", rank=17),
+        dict(method="lamda++", rank_plan={"L0.q": 4, "L0.k": 4, "L0.v": 17, "L0.ffn1": 4,
+                                          "L0.ffn2": 4}),
+        dict(method="lamda++", budget_ranks=(8, 16, 24), budget_target=16),
+        dict(method="lamda++", budget_ranks=(4, 8, 16), budget_target=8),
+        dict(method="lamda++", budget_ranks=(2, 4, 6), budget_target=4, init_mode="bogus"),
+    ])
+    def test_bad_config_fails_before_any_svd(self, monkeypatch, bad):
+        """Every rank, a budget's largest candidate and the init mode are
+        checked against the weights before the run's one batched SVD."""
+        calls = []
+        monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
+                            lambda at, *args: calls.append(at.shape))
+        with pytest.raises(ConfigError):
+            build_run(TrainRunConfig(model=SMALL, **bad))
+        assert calls == []
 
 
 class TestTraining:
