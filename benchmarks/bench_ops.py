@@ -1,5 +1,6 @@
 """Benchmark the fused adapted linear, `lamda.tensor.adapted_linear`, against
-the matmul/scale/add composition it replaced.
+the matmul/scale/add composition it replaced, and a step's fixed costs:
+the optimizer update and the row maxima of attention and cross-entropy.
 
 Usage: PYTHONPATH=src python benchmarks/bench_ops.py [--repeats 300] [--rounds 5]
 
@@ -8,6 +9,14 @@ Op level: on the toy model's shapes (b*n 128, r 8; d_in x d_out 64x64,
 LoRA (`a` and `b` live), the two forms run interleaved, forward and
 backward under a tape. Each pair must give byte-equal outputs and
 gradients; the best time per call over the rounds is printed.
+
+Step costs: the 20 optimizer slots of the toy LaMDA run (r 8 on q, k, v,
+ffn1 and ffn2 of 2 layers: ten 8x8 `s`, eight 8x64 and two 8x256 `b`),
+updated slot by slot and by `train.Adam`'s one update per slot shape,
+before t_i (every slot live) and after it (only the `s` slots); and
+numpy's row-wise max against `tensor._row_max` on the attention scores
+(8, 4, 16, 16) and the logits (128, 32). Each pair must give byte-equal
+parameters and moments, or maxima; the best time per call is printed.
 
 Model level: one training step of the toy model (d 64, ffn 256, n 16,
 b 8) and of a wider one (d 256, ffn 1024, n 32, b 8), both with rank 8 on
@@ -26,8 +35,9 @@ import numpy as np
 from lamda import accounting, adapter
 from lamda.model import ToyTransformerConfig
 from lamda.tasks import make_task
-from lamda.tensor import Tape, Tensor, adapted_linear, add, matmul, mul, scale, tensor_sum
-from lamda.train import TrainRunConfig, build_run
+from lamda.tensor import (Tape, Tensor, _row_max, adapted_linear, add, matmul, mul, scale,
+                          tensor_sum)
+from lamda.train import Adam, TrainRunConfig, build_run
 
 SHAPES = [(128, 64, 64, 8), (128, 64, 256, 8), (128, 256, 64, 8)]  # b*n, d_in, d_out, r
 MODELS = {
@@ -88,6 +98,88 @@ def op_table(repeats, rounds):
                   f"{new:>11.1f} {old / new:>8.2f}x")
 
 
+class PerSlotAdam(Adam):
+    """The optimizer's update as it ran before slots were grouped by shape."""
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for slot in self.slots.values():
+            tensor = slot["tensor"]
+            live = slot["live"]
+            if tensor.grad is None or live == 0:
+                continue
+            g = tensor.grad[:live]
+            m, v = slot["m"][:live], slot["v"][:live]
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            upd = (self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(
+                tensor.data.dtype
+            )
+            tensor.data[:live] -= upd
+
+
+def _best_pair(first, second, repeats, rounds, same):
+    """Best mean time per call of two interleaved callables, in microseconds;
+    `same()` must hold after every pair of calls."""
+    best = [float("inf"), float("inf")]
+    for _ in range(rounds):
+        total = [0.0, 0.0]
+        for _ in range(repeats):
+            for k, fn in enumerate((first, second)):
+                start = time.perf_counter()
+                fn()
+                total[k] += time.perf_counter() - start
+            assert same(), "forms differ"
+        best = [min(b, t / repeats) for b, t in zip(best, total)]
+    return best[0] * 1e6, best[1] * 1e6
+
+
+def step_cost_table(repeats, rounds):
+    model_cfg, rank = MODELS["toy d64"]
+    cfg = TrainRunConfig(method="lamda", rank=rank, init_mode="kaiming", model=model_cfg)
+    _, template, _ = build_run(cfg)
+    print(f"\n{'step cost':>40} {'per slot / np.max (us)':>23} {'grouped / row max (us)':>23} "
+          f"{'speed-up':>9}")
+    rng = np.random.default_rng(0)
+    for phase, frozen_b in (("Adam.step, 20 slots before t_i", False),
+                            ("Adam.step, 10 slots after t_i", True)):
+        opts = (PerSlotAdam(cfg.lr), Adam(cfg.lr))
+        for opt in opts:
+            for name, slot in template.slots.items():
+                live = 0 if frozen_b and name.endswith(".b") else slot["live"]
+                opt.add_param(name, Tensor(slot["tensor"].data.copy(), requires_grad=True),
+                              live_rows=live)
+        grads = {name: rng.normal(size=slot["tensor"].data.shape).astype(np.float32)
+                 for name, slot in template.slots.items()
+                 if not (frozen_b and name.endswith(".b"))}
+
+        def stepper(opt):
+            def step():
+                for name, g in grads.items():
+                    opt.slots[name]["tensor"].grad = g
+                opt.step()
+            return step
+
+        def same():
+            return all(a[key].tobytes() == b[key].tobytes() and
+                       a["tensor"].data.tobytes() == b["tensor"].data.tobytes()
+                       for a, b in zip(*(opt.slots.values() for opt in opts))
+                       for key in ("m", "v"))
+
+        old, new = _best_pair(*map(stepper, opts), repeats, rounds, same)
+        print(f"{phase:>40} {old:>23.1f} {new:>23.1f} {old / new:>8.2f}x")
+    for what, shape in (("attention scores", (8, 4, 16, 16)), ("logits", (128, 32))):
+        x = rng.normal(size=shape).astype(np.float32)
+        out = {}
+        old, new = _best_pair(lambda: out.update(old=x.max(axis=-1, keepdims=True)),
+                              lambda: out.update(new=_row_max(x)), repeats, rounds,
+                              lambda: out["old"].tobytes() == out["new"].tobytes())
+        label = f"row max, {what} {shape}"
+        print(f"{label:>40} {old:>23.1f} {new:>23.1f} {old / new:>8.2f}x")
+
+
 def _held_bytes(model_cfg, method, rank, forward):
     cfg = TrainRunConfig(method=method, rank=rank, init_mode="kaiming", total_steps=10,
                          batch_size=8, model=model_cfg)
@@ -134,6 +226,7 @@ def main():
     parser.add_argument("--rounds", type=int, default=5)
     args = parser.parse_args()
     op_table(args.repeats, args.rounds)
+    step_cost_table(args.repeats, args.rounds)
     memory_table()
 
 

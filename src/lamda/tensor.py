@@ -360,7 +360,7 @@ def attention(q, k, v, n, heads, mask=None):
     scores = (qs @ kt) * c
     if mask is not None:
         scores = scores + mask
-    z = scores - scores.max(axis=-1, keepdims=True)
+    z = scores - _row_max(scores)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
     out_data = merge(p @ vs)
@@ -375,6 +375,25 @@ def attention(q, k, v, n, heads, mask=None):
         _accum(v, merge(p.transpose(0, 1, 3, 2) @ gs))
 
     return _record(out_data, (q, k, v), backward, "attention")
+
+
+def _row_max(x):
+    """x.max(axis=-1, keepdims=True), read down the columns of a transposed copy.
+
+    numpy reduces a short last axis one row at a time; reducing the leading
+    axis of the transpose sweeps every row at once. A max does not round,
+    so a row's maximum has one bit pattern, except for a zero: which of
+    +0 and -0 wins a tie depends on the order of comparisons, so rows whose
+    maximum is zero are reduced again by numpy's row-wise max. Every
+    NaN-free row thus gives numpy's bits; a row holding a NaN stays NaN,
+    though its sign or payload may differ.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    top = np.ascontiguousarray(rows.T).max(axis=0)
+    zero = top == 0
+    if zero.any():
+        top[zero] = rows[zero].max(axis=-1)
+    return top.reshape(x.shape[:-1] + (1,))
 
 
 def _row_mean(x):
@@ -404,8 +423,11 @@ def layer_norm(a, gain, bias, eps=1e-5):
         m1 = _row_mean(gg)
         m2 = _row_mean(gg * xhat)
         _accum(a, (gg - m1 - xhat * m2) * inv)
-        _accum(gain, (g * xhat).sum(axis=0).reshape(gain.data.shape))
-        _accum(bias, g.sum(axis=0).reshape(bias.data.shape))
+        # Frozen gain and bias (every adapter run) get no gradient.
+        if gain.requires_grad:
+            _accum(gain, (g * xhat).sum(axis=0).reshape(gain.data.shape))
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=0).reshape(bias.data.shape))
 
     return _record(out_data, (a, gain, bias), backward, "layer_norm")
 
@@ -435,7 +457,7 @@ def cross_entropy(logits, targets):
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise ContractError("cross_entropy: no unmasked targets")
-    zs = z - z.max(axis=1, keepdims=True)
+    zs = z - _row_max(z)
     lse = np.log(np.exp(zs).sum(axis=1, keepdims=True))
     logp = zs - lse
     picked = np.where(valid, logp[np.arange(z.shape[0]), np.maximum(targets, 0)], 0.0)
@@ -445,7 +467,7 @@ def cross_entropy(logits, targets):
         p = np.exp(logp)
         p[np.arange(z.shape[0]), np.maximum(targets, 0)] -= 1.0
         p[~valid] = 0.0
-        _accum(logits, (float(g) / n_valid) * p.astype(_dtype))
+        _accum(logits, (float(g) / n_valid) * p.astype(_dtype, copy=False))
 
     return _record(out_data, (logits,), backward, "cross_entropy")
 

@@ -76,12 +76,21 @@ class TrainRunConfig:
 class Adam:
     """Adam with row masking: only rows < live receive updates and keep
     moment buffers, so frozen rows stay bitwise untouched. A parameter
-    added without `live_rows` has every row live."""
+    added without `live_rows` has every row live.
+
+    Slots of one shape and dtype form a group: their data and moments
+    become views of one stacked buffer each, and a step updates the live
+    rows of a group's members with one set of array operations. Each
+    element sees the same IEEE operations in the same order as a
+    slot-by-slot update, so the bits are the same. A parameter that is not
+    finite after a step ends the run with a `NumericalError`.
+    """
 
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.slots = {}
+        self._groups = None  # (names, slots, data, m, v) per shape; built by step()
 
     def add_param(self, name, tensor, live_rows=None):
         self.slots[name] = {
@@ -90,6 +99,23 @@ class Adam:
             "m": np.zeros_like(tensor.data),
             "v": np.zeros_like(tensor.data),
         }
+        self._groups = None
+
+    def _group(self):
+        """Stack each shape's slots and rebind their arrays to views of the stacks."""
+        names = {}
+        for name, slot in self.slots.items():
+            data = slot["tensor"].data
+            names.setdefault((data.shape, data.dtype.str), []).append(name)
+        self._groups = []
+        for group in names.values():
+            slots = [self.slots[name] for name in group]
+            data = np.stack([slot["tensor"].data for slot in slots])
+            m = np.stack([slot["m"] for slot in slots])
+            v = np.stack([slot["v"] for slot in slots])
+            for i, slot in enumerate(slots):
+                slot["tensor"].data, slot["m"], slot["v"] = data[i], m[i], v[i]
+            self._groups.append((group, slots, data, m, v))
 
     def set_live_rows(self, name, rows):
         slot = self.slots[name]
@@ -106,22 +132,44 @@ class Adam:
         return total
 
     def step(self):
+        if self._groups is None:
+            self._group()
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for slot in self.slots.values():
-            tensor = slot["tensor"]
-            live = slot["live"]
-            if tensor.grad is None or live == 0:
-                continue
-            g = tensor.grad[:live]
-            m, v = slot["m"][:live], slot["v"][:live]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            upd = (self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(
-                tensor.data.dtype
-            )
-            tensor.data[:live] -= upd
+        for names, slots, data, m_all, v_all in self._groups:
+            members = {}  # live rows -> indices of the members with a gradient
+            for i, slot in enumerate(slots):
+                if slot["tensor"].grad is not None and slot["live"] > 0:
+                    members.setdefault(slot["live"], []).append(i)
+            for live, idx in members.items():
+                # Every member: views of the stacks; some: gathered copies.
+                sel = slice(None) if len(idx) == len(slots) else idx
+                g = np.stack([slots[i]["tensor"].grad[:live] for i in idx])
+                m, v = m_all[sel, :live], v_all[sel, :live]
+                # v += (1 - b2) * (g * g - v), m += (1 - b1) * (g - m) and
+                # lr * (m / bc1) / (sqrt(v / bc2) + eps), each operation in
+                # place on a fresh buffer (a * b and a + b commute exactly).
+                buf = g * g
+                buf -= v
+                buf *= 1.0 - self.beta2
+                v += buf
+                g -= m
+                g *= 1.0 - self.beta1
+                m += g
+                np.divide(v, bc2, out=buf)
+                np.sqrt(buf, out=buf)
+                buf += self.eps
+                np.divide(m, bc1, out=g)
+                g *= self.lr
+                g /= buf
+                data[sel, :live] -= g
+                if not isinstance(sel, slice):
+                    m_all[sel, :live], v_all[sel, :live] = m, v
+            if members and not np.isfinite(data).all():
+                bad = next(name for name, x in zip(names, data) if not np.isfinite(x).all())
+                raise NumericalError(f"parameter {bad} is not finite after Adam step "
+                                     f"{self.t} (lr={self.lr})")
 
     def zero_grad(self):
         for slot in self.slots.values():

@@ -4,7 +4,10 @@ Nothing here imports the code paths under test: the matmul oracle is a
 triple loop, the eigensolver is a classical two-sided cyclic Jacobi on
 the symmetric Gram matrix, the one-sided Jacobi sweep is the scalar
 rotation-at-a-time loop, Adam keeps separate dense and row-masked
-update paths, and gradients come from central finite differences.
+update paths slot by slot, and gradients come from central finite
+differences. The `*_rowwise_max_ref` functions are the attention and
+cross-entropy expressions as they were before their row maxima moved to
+`tensor._row_max`, kept to pin those ops byte for byte.
 """
 
 import math
@@ -47,6 +50,51 @@ def attention_ref(q, k, v, n, heads, mask=None):
                 scores = scores + mask
             out[r, c] = softmax_ref(scores) @ v[r, c]
     return out
+
+
+def attention_rowwise_max_ref(q, k, v, n, heads, mask, g):
+    """Fused attention's forward and backward with numpy's row-wise max, in
+    the array dtype: (out, d_q, d_k, d_v) for the upstream gradient g."""
+    rows, d = q.shape
+    b, dh = rows // n, d // heads
+    c = q.dtype.type(1.0 / math.sqrt(dh))
+
+    def heads_of(x):
+        return x.reshape(b, n, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qs = np.ascontiguousarray(heads_of(q))
+    kt = np.ascontiguousarray(heads_of(k).transpose(0, 1, 3, 2))
+    vs = np.ascontiguousarray(heads_of(v))
+    scores = (qs @ kt) * c
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    gs = heads_of(g)
+    dp = gs @ vs.transpose(0, 1, 3, 2)
+    ds = (p * (dp - (dp * p).sum(axis=-1, keepdims=True))) * c
+    return (merge(p @ vs), merge(ds @ kt.transpose(0, 1, 3, 2)),
+            merge((qs.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)),
+            merge(p.transpose(0, 1, 3, 2) @ gs))
+
+
+def cross_entropy_rowwise_max_ref(z, targets, g):
+    """Mean cross-entropy and its logit gradient with numpy's row-wise max,
+    in the array dtype: (loss, d_z) for the upstream scalar gradient g."""
+    dt = z.dtype.type
+    valid = targets >= 0
+    n_valid = int(valid.sum())
+    rows, picks = np.arange(z.shape[0]), np.maximum(targets, 0)
+    zs = z - z.max(axis=1, keepdims=True)
+    logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+    loss = np.asarray(-np.where(valid, logp[rows, picks], 0.0).sum() / n_valid, dtype=dt)
+    p = np.exp(logp)
+    p[rows, picks] -= 1.0
+    p[~valid] = 0.0
+    return loss, (float(g) / n_valid) * p.astype(dt)
 
 
 def layer_norm_ref(x, gain, bias, eps=1e-5):

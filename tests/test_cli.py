@@ -334,6 +334,17 @@ class TestFinetuneReport:
         assert run_cli("finetune", "--config", str(cfg),
                        "--out-dir", str(tmp_path / "o")) == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_update_overflowing_f32_on_last_step_exits_3(self, tmp_path, capsys):
+        # lr fits a float but not f32, so the one update makes every live
+        # parameter inf or NaN while the loss, computed before it, is finite.
+        cfg = _run_config(tmp_path, total_steps=1, lr=1e39)
+        out = tmp_path / "o"
+        assert run_cli("finetune", "--config", str(cfg), "--out-dir", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "L0.q.s is not finite after Adam step 1" in err
+        assert os.listdir(out) == []
+
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "c.json"

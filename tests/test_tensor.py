@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from lamda.errors import ContractError, ShapeError
-from lamda.tensor import (Tape, Tensor, adapted_linear, add, attention, concat_cols,
+from lamda.tensor import (_row_max, Tape, Tensor, adapted_linear, add, attention, concat_cols,
                           concat_rows, cross_entropy, embedding, float_mode, gelu,
                           get_float_mode, layer_norm, matmul, mul, scale,
                           set_float_mode, slice_cols, slice_rows, softmax_rows, sub,
@@ -141,6 +141,25 @@ class TestAttention:
         fused, sliced = results
         for name, got, want in zip(("out", "dq", "dk", "dv"), fused, sliced):
             assert got == want, name
+
+    @pytest.mark.parametrize("mode", ["f32", "f64"])
+    @pytest.mark.parametrize("mask", ["none", "causal", "-inf"])
+    @pytest.mark.parametrize("d, heads, n, b", [(64, 4, 16, 8), (6, 2, 5, 3), (8, 1, 1, 4)])
+    def test_bitwise_equals_rowwise_max_expressions(self, mode, mask, d, heads, n, b):
+        rng = np.random.default_rng(15)
+        masks = {"none": None, "causal": _causal_mask(n),
+                 "-inf": np.triu(np.full((n, n), -np.inf), k=1)}
+        with float_mode(mode):
+            ts = [Tensor(rng.normal(size=(b * n, d)) * 4, requires_grad=True) for _ in range(3)]
+            g = Tensor(rng.normal(size=(b * n, d)))
+            m = None if masks[mask] is None else masks[mask].astype(g.data.dtype)
+            with Tape() as tape:
+                out = attention(*ts, n, heads, m)
+                tape.backward(tensor_sum(mul(out, g)))
+        want = oracles.attention_rowwise_max_ref(*(t.data for t in ts), n, heads, m, g.data)
+        got = (out.data,) + tuple(t.grad for t in ts)
+        for name, x, ref in zip(("out", "dq", "dk", "dv"), got, want):
+            assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes(), name
 
     def test_one_tape_node(self):
         q, k, v = (Tensor(np.ones((8, 4)), requires_grad=True) for _ in range(3))
@@ -298,6 +317,18 @@ class TestLayerNorm:
                                   (out.data, x.grad, gain.grad, bias.grad), want):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
 
+    @pytest.mark.parametrize("mode", ["f32", "f64"])
+    def test_frozen_gain_and_bias_get_no_gradient(self, mode):
+        rng = np.random.default_rng(18)
+        with float_mode(mode):
+            x = Tensor(rng.normal(size=(37, 64)), requires_grad=True)
+            gain, bias, g = (Tensor(rng.normal(size=shape)) for shape in [64, 64, (37, 64)])
+            with Tape() as tape:
+                grads = tape.backward(tensor_sum(mul(layer_norm(x, gain, bias), g)))
+        assert list(grads) == [x] and gain.grad is None and bias.grad is None
+        want = oracles.layer_norm_meanvar_ref(x.data, gain.data, bias.data, g.data)[1]
+        assert x.grad.tobytes() == want.tobytes()
+
     def test_constant_row_zeroes(self):
         x = Tensor(np.full((1, 4), 3.7))
         out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
@@ -445,6 +476,64 @@ class TestCrossEntropy:
         with Tape() as tape:
             grads = tape.backward(cross_entropy(z, np.array([1, -1, 2])))
         assert np.array_equal(grads[z][1], np.zeros(4))
+
+
+    @pytest.mark.parametrize("mode", ["f32", "f64"])
+    @pytest.mark.parametrize("rows, vocab", [(128, 32), (7, 5), (3, 1)])
+    def test_bitwise_equals_rowwise_max_expressions(self, mode, rows, vocab):
+        rng = np.random.default_rng(7)
+        targets = rng.integers(-1, vocab, size=rows)
+        targets[0] = vocab - 1
+        with float_mode(mode):
+            z = Tensor(rng.normal(size=(rows, vocab)) * 8, requires_grad=True)
+            with Tape() as tape:
+                loss = cross_entropy(z, targets)
+                tape.backward(loss)
+        want = oracles.cross_entropy_rowwise_max_ref(z.data, targets, 1.0)
+        for name, x, ref in zip(("loss", "dz"), (loss.data, z.grad), want):
+            assert x.dtype == ref.dtype and x.tobytes() == ref.tobytes(), name
+
+
+def _row_max_cases(dtype, shape, seed):
+    """Rows of one shape: Gaussian, ±0 ties, ±inf entries and -1e9 masks."""
+    rng = np.random.default_rng(seed)
+    x = (rng.normal(size=shape) * 10).astype(dtype)
+    zeros = rng.choice(np.array([0.0, -0.0], dtype=dtype), size=shape)
+    ties = np.where(rng.random(shape) < 0.5, x.max(axis=-1, keepdims=True), x)
+    inf = np.where(rng.random(shape) < 0.1, rng.choice([np.inf, -np.inf], size=shape), x)
+    all_neg_inf = np.full(shape, -np.inf, dtype=dtype)
+    masked = x + np.triu(np.full(shape[-2:], -1e9), k=1).astype(dtype)
+    return {"normal": x, "signed-zeros": zeros, "ties": ties, "inf": inf.astype(dtype),
+            "all-minus-inf": all_neg_inf, "masked": masked,
+            "masked-zeros": np.where(masked < -1, dtype(-1e9), zeros)}
+
+
+_ROW_MAX_SHAPES = [(8, 4, 16, 16), (128, 32), (2, 3, 5), (6, 1), (1, 9)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _ROW_MAX_SHAPES)
+@pytest.mark.parametrize("seed", range(3))
+def test_row_max_bytes_equal_numpy_max(dtype, shape, seed):
+    for case, x in _row_max_cases(dtype, shape, seed).items():
+        got, want = _row_max(x), x.max(axis=-1, keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape, case
+        assert got.tobytes() == want.tobytes(), case
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _ROW_MAX_SHAPES)
+def test_row_max_keeps_nan_rows_nan(dtype, shape):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=shape).astype(dtype)
+    rows = x.reshape(-1, shape[-1])
+    nan_rows = rng.random(rows.shape[0]) < 0.3
+    nan_rows[0] = True
+    rows[nan_rows, rng.integers(0, shape[-1], size=int(nan_rows.sum()))] = np.nan
+    got = _row_max(x).reshape(-1)
+    want = x.max(axis=-1, keepdims=True).reshape(-1)
+    assert np.isnan(got[nan_rows]).all()
+    assert got[~nan_rows].tobytes() == want[~nan_rows].tobytes()
 
 
 def test_embedding_backward_scatters(f64):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
+from lamda import container
 from lamda.adapter import AdapterConfig, build_adapter
-from lamda.errors import ConfigError
+from lamda.errors import ConfigError, NumericalError
 from lamda.model import ToyTransformerConfig
 from lamda.tasks import IGNORE, make_task
 from lamda.tensor import Tensor
@@ -107,12 +108,95 @@ class TestAdam:
         assert got.metrics == want.metrics
         for name, w in want.model.weights().items():
             assert got.model.params[name].data.tobytes() == w.tobytes(), name
+        _assert_same_checkpoint(got, want)
+
+    @pytest.mark.parametrize("run", [
+        dict(method="lamda", rank=4, ti_fraction=0.5),
+        dict(method="lora", rank=4),
+        dict(method="lamda++", rank_plan={"L0.q": 2, "L0.k": 4, "L0.v": 4, "L0.ffn1": 2,
+                                          "L0.ffn2": 8}, ti_fraction=0.75),
+    ], ids=["lamda-freezing", "lora", "lamda++-mixed-ranks"])
+    def test_adapter_run_matches_two_path_reference(self, monkeypatch, run):
+        """Grouped slots (one group per shape; mixed ranks give several) and
+        B rows freezing mid-run leave the loss series, the adapters and the
+        checkpointed moments byte-equal to the slot-by-slot optimizer."""
+        cfg = TrainRunConfig(total_steps=12, batch_size=2, lr=5e-3, seed=5, model=SMALL,
+                             **run)
+        got = train(cfg)
+        monkeypatch.setattr("lamda.train.Adam", oracles.AdamTwoPathRef)
+        want = train(cfg)
+        assert got.metrics == want.metrics
+        assert len({m for _, _, m, _ in got.metrics}) > 1 or cfg.method == "lora"
+        _assert_same_checkpoint(got, want)
+
+    def test_add_param_after_step_regroups(self):
+        runs = []
+        for cls in (Adam, oracles.AdamTwoPathRef):
+            rng = np.random.default_rng(4)
+            opt = cls(lr=0.1)
+            ts = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(3)]
+            opt.add_param("p0", ts[0])
+            opt.add_param("p1", ts[1], live_rows=2)
+            for step in range(4):
+                if step == 2:
+                    opt.add_param("p2", ts[2])
+                for t in ts:
+                    t.grad = np.asarray(rng.normal(size=(3, 2)), dtype=t.data.dtype)
+                opt.step()
+            runs.append((ts, opt))
+        (got, opt), (want, ref) = runs
+        for name, g, w in zip(opt.slots, got, want):
+            assert g.data.tobytes() == w.data.tobytes(), name
+            for key in ("m", "v"):
+                assert opt.slots[name][key].tobytes() == ref.slots[name][key].tobytes()
+        # p2 joined p0 and p1's buffer at the next step.
+        assert got[0].data.base is not None
+        assert all(t.data.base is got[0].data.base for t in got[1:])
+
+    def test_group_with_mixed_live_rows_updates_only_live_rows(self):
+        runs = []
+        for cls in (Adam, oracles.AdamTwoPathRef):
+            rng = np.random.default_rng(5)
+            opt = cls(lr=0.1)
+            ts = [Tensor(np.ones((4, 3)), requires_grad=True) for _ in range(5)]
+            for i, (t, live) in enumerate(zip(ts, (4, 2, 2, 0, 3))):
+                opt.add_param(f"b{i}", t, live_rows=live)
+            for _ in range(3):
+                for t in ts[:4]:  # b4 has live rows but no gradient
+                    t.grad = rng.normal(size=(4, 3)).astype(t.data.dtype)
+                opt.step()
+            runs.append(ts)
+        got, want = runs
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g.data.tobytes() == w.data.tobytes(), i
+        for t, live in zip(got, (4, 2, 2, 0, 0)):
+            assert np.array_equal(t.data[live:], np.ones((4 - live, 3)))
+            assert (t.data[:live] != 1.0).all()
+
+    def test_non_finite_parameter_names_slot_and_step(self):
+        opt = Adam(lr=1e39)  # the f32 update lr * m / sqrt(v) overflows
+        ts = [Tensor(np.ones(shape), requires_grad=True) for shape in [(3, 3), (3, 3), (2, 2)]]
+        for name, t in zip(("L0.k.s", "L0.q.s", "w"), ts):
+            opt.add_param(name, t)
+        ts[1].grad = np.ones((3, 3), dtype=np.float32)  # only L0.q.s is updated
+        with np.errstate(over="ignore"), pytest.raises(NumericalError,
+                                                       match=r"L0\.q\.s .*step 1"):
+            opt.step()
 
     def test_live_scalars(self):
         opt = Adam(lr=0.1)
         opt.add_param("s", Tensor(np.ones((3, 3)), requires_grad=True))
         opt.add_param("b", Tensor(np.ones((4, 5)), requires_grad=True), live_rows=2)
         assert opt.live_scalars() == 9 + 2 * 5
+
+
+def _assert_same_checkpoint(got, want):
+    tensors, meta = container.checkpoint_from_result(got)
+    ref_tensors, ref_meta = container.checkpoint_from_result(want)
+    assert meta == ref_meta and list(tensors) == list(ref_tensors)
+    for name, arr in ref_tensors.items():
+        assert tensors[name].dtype == arr.dtype and tensors[name].shape == arr.shape, name
+        assert tensors[name].tobytes() == arr.tobytes(), name
 
 
 class TestConfig:
