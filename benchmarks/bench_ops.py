@@ -23,7 +23,17 @@ b 8) and of a wider one (d 256, ffn 1024, n 32, b 8), both with rank 8 on
 q, k, v, ffn1 and ffn2, for LoRA and LaMDA (kaiming init, so no SVD runs).
 Printed per form: the bytes the forward leaves allocated while the tape
 is alive and the step's peak, both from tracemalloc, next to the adapter
-activations `accounting.activation_footprint` says must be kept.
+activations `accounting.activation_footprint` says must be kept, and per
+model the LoRA/LaMDA ratio of the fused forms' held bytes next to the
+paper's 1.32x peak-memory ratio (measured on full-size models, whose
+weights this toy does not have).
+
+Run level: a real `train()` of the toy model, 6 steps at batch 8, for
+full, LoRA and LaMDA (kaiming init). Printed: what the run holds between
+steps (traced bytes once `train()` has returned, the result still held)
+and the tracemalloc peak over steps 2..6 above that. One step's isolated
+cost cannot show a graph kept from one step into the next; this peak
+does.
 """
 
 import argparse
@@ -37,7 +47,7 @@ from lamda.model import ToyTransformerConfig
 from lamda.tasks import make_task
 from lamda.tensor import (Tape, Tensor, _row_max, adapted_linear, add, matmul, mul, scale,
                           tensor_sum)
-from lamda.train import Adam, TrainRunConfig, build_run
+from lamda.train import Adam, TrainRunConfig, build_run, train
 
 SHAPES = [(128, 64, 64, 8), (128, 64, 256, 8), (128, 256, 64, 8)]  # b*n, d_in, d_out, r
 MODELS = {
@@ -212,11 +222,38 @@ def memory_table():
     print(f"\n{'model':>8} {'method':>6} {'form':>9} {'held after forward (MB)':>24} "
           f"{'step peak (MB)':>15} {'activation_footprint (MB)':>26}")
     for name, (model_cfg, rank) in MODELS.items():
+        fused = {}
         for method in ("lora", "lamda"):
             for form in ("composed", "fused"):
                 held, peak, model_bytes = _held_bytes(model_cfg, method, rank, form)
                 print(f"{name:>8} {method:>6} {form:>9} {held / 1e6:>24.2f} "
                       f"{peak / 1e6:>15.2f} {model_bytes / 1e6:>26.3f}")
+                if form == "fused":
+                    fused[method] = held
+        print(f"{name:>8} LoRA/LaMDA held after forward, fused: "
+              f"{fused['lora'] / fused['lamda']:.2f}x (paper: 1.32x peak memory)")
+
+
+def run_memory_table(steps=6):
+    model_cfg, rank = MODELS["toy d64"]
+    print(f"\n{'run':>8} {'method':>6} {'held between steps (MB)':>24} "
+          f"{'peak over steps 2..' + str(steps) + ' (MB)':>26}")
+    for method in ("full", "lora", "lamda"):
+        cfg = TrainRunConfig(method=method, rank=rank, init_mode="kaiming", total_steps=steps,
+                             batch_size=8, model=model_cfg)
+
+        def hook(row):
+            if row[0] == 0:  # a graph kept from the first step shows in this peak
+                tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            result = train(cfg, metrics_hook=hook)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result  # held above: the trained model and optimizer
+        print(f"{'toy d64':>8} {method:>6} {held / 1e6:>24.2f} {(peak - held) / 1e6:>26.2f}")
 
 
 def main():
@@ -228,6 +265,7 @@ def main():
     op_table(args.repeats, args.rounds)
     step_cost_table(args.repeats, args.rounds)
     memory_table()
+    run_memory_table()
 
 
 if __name__ == "__main__":

@@ -51,36 +51,66 @@ def float_mode(mode):
 
 
 class Tensor:
-    """A dense array plus the bookkeeping needed to replay its backward rule."""
+    """A dense array; a result recorded on a tape points to its tape node."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_op",
-                 "_saved")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=_dtype)
         self.grad = None
         self.requires_grad = requires_grad
         self.name = name
-        self._parents = ()
-        self._backward = None
-        self._op = None
-        self._saved = ()  # (operand, array its gradient reads) pairs of a tape node
+        self._node = None
 
     @property
     def shape(self):
         return self.data.shape
 
     @property
-    def is_leaf(self):
-        return not self._parents
+    def _parents(self):
+        """The gradient sinks of the operands of the op that made this
+        tensor; empty unless a tape recorded that op."""
+        return () if self._node is None else self._node._parents
 
     def __repr__(self):
-        tag = self.name or self._op or "tensor"
+        tag = self.name or (self._node._op if self._node is not None else "tensor")
         return f"Tensor({tag}, shape={self.data.shape}, grad={self.requires_grad})"
 
 
+class Node:
+    """One recorded op: its backward rule and what that rule reads.
+
+    A node does not own its op's output array. `_parents` holds the
+    gradient sink of each operand: the operand's own node if it was
+    recorded, else the operand itself (a leaf). `_saved` holds
+    (sink, array) pairs: each array the backward reads, paired with the
+    first operand whose gradient reads it (a weight that carries a
+    gradient back to the input is paired with the input); the array is
+    None when no gradient that reads it is taken. The backward receives
+    `_saved`'s arrays in order and captures no array itself, so `_saved`
+    is all the node keeps alive besides the sinks. `grad` is the gradient
+    of the output, summed over its consumers while the tape replays and
+    dropped once the backward has run.
+    """
+
+    __slots__ = ("grad", "_parents", "_backward", "_op", "_saved")
+    requires_grad = True  # only results that need a gradient are recorded
+
+    def __init__(self, parents, backward, op, saved):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+        self._op = op
+        self._saved = saved
+
+
 class Tape:
-    """Ordered record of grad-requiring ops; replayed in reverse by backward()."""
+    """Ordered record of grad-requiring ops; replayed in reverse by backward().
+
+    The tape holds its `Node`s, never the tensors the ops returned, so an
+    op's output lives only as long as the caller, or a node's `_saved`,
+    keeps it.
+    """
 
     def __init__(self):
         self.nodes = []
@@ -100,22 +130,27 @@ class Tape:
     def backward(self, loss):
         """Seed d(loss)=1 and replay recorded ops in reverse.
 
-        Returns a map {leaf Tensor: gradient array} covering every
-        requires_grad leaf reached from the loss.
+        Each node's gradient is dropped as soon as its backward has routed
+        it to the operands' sinks, so no node holds a gradient afterwards;
+        leaves keep theirs in `Tensor.grad`. Returns a map {leaf Tensor:
+        gradient array} covering every requires_grad leaf reached from the
+        loss.
         """
         if loss.data.size != 1:
             raise ContractError(f"loss must be scalar, got shape {loss.data.shape}")
-        if loss._backward is None and not loss.requires_grad:
+        if loss._node is None and not loss.requires_grad:
             raise ContractError("loss does not depend on any trainable tensor")
-        loss.grad = np.ones_like(loss.data)
+        _sink(loss).grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
-            if node.grad is None or node._backward is None:
+            g = node.grad
+            if g is None:
                 continue
-            node._backward(node.grad)
+            node.grad = None
+            node._backward(g, *[act for _, act in node._saved])
         grads = {}
         for node in self.nodes:
             for p in node._parents:
-                if p.is_leaf and p.requires_grad and p.grad is not None:
+                if isinstance(p, Tensor) and p.requires_grad and p.grad is not None:
                     grads[p] = p.grad
         return grads
 
@@ -123,23 +158,31 @@ class Tape:
 _active_tape = None
 
 
-def _record(data, parents, backward, op, saved=()):
+def _sink(t):
+    """Where a gradient for `t` goes: its tape node, or `t` itself if it is a leaf."""
+    return t if t._node is None else t._node
+
+
+def _keep(*pairs):
+    """A node's `_saved` from (sink, array) pairs: None in place of an array
+    whose sink takes no gradient."""
+    return tuple([(sink, act if sink.requires_grad else None) for sink, act in pairs])
+
+
+def _record(data, sinks, backward, op, saved=()):
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = any(s.requires_grad for s in sinks)
     if out.requires_grad and _active_tape is not None:
-        out._parents = tuple(parents)
-        out._backward = backward
-        out._op = op
-        out._saved = saved
-        _active_tape.nodes.append(out)
+        out._node = Node(tuple(sinks), backward, op, saved)
+        _active_tape.nodes.append(out._node)
     return out
 
 
-def _accum(t, g):
-    if not t.requires_grad:
+def _accum(sink, g):
+    if not sink.requires_grad:
         return
     # No in-place grad mutation anywhere, so sharing the first array is safe.
-    t.grad = g if t.grad is None else t.grad + g
+    sink.grad = g if sink.grad is None else sink.grad + g
 
 
 # ---------------------------------------------------------------- primitives
@@ -149,15 +192,16 @@ def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes do not chain: {a.data.shape} x {b.data.shape}")
     out_data = a.data @ b.data
+    sa, sb = _sink(a), _sink(b)
 
-    def backward(g):
+    def backward(g, b_data, a_data):
         # Frozen operands (backbone residuals, PMA, the head) get no gradient.
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
+        if sa.requires_grad:
+            _accum(sa, g @ b_data.T)
+        if sb.requires_grad:
+            _accum(sb, a_data.T @ g)
 
-    return _record(out_data, (a, b), backward, "matmul", ((b, a.data), (a, b.data)))
+    return _record(out_data, (sa, sb), backward, "matmul", _keep((sa, b.data), (sb, a.data)))
 
 
 def adapted_linear(x, w, a, s, b, alpha=1.0):
@@ -168,8 +212,10 @@ def adapted_linear(x, w, a, s, b, alpha=1.0):
     replaces, in the same order, and adds the adapter path's gradient into
     `x` before the main path's, as that composition's tape does, so both
     give the same bits. Products whose target needs no gradient are
-    skipped. The backward keeps only x, x @ a and (x @ a) @ s, the inputs
-    its weight gradients read; the d_out-wide intermediates are freed.
+    skipped. Of the activations, the node keeps only the inputs of the
+    trainable factors (x for `a` and for `w`, x @ a for the factor after
+    `a`, (x @ a) @ s for `b`), so with `a` and `w` frozen, as in LaMDA, x
+    is not kept; the d_out-wide intermediates never are.
     """
     factors = (a, b) if s is None else (a, s, b)
     dims = [x.data.shape, w.data.shape] + [f.data.shape for f in factors]
@@ -187,28 +233,34 @@ def adapted_linear(x, w, a, s, b, alpha=1.0):
     if c is not None:
         path *= c
     out_data += path  # the composition's main + path, in place
-    live = [x.requires_grad]  # whether each factor's input needs a gradient
-    for f in factors[:-1]:
-        live.append(live[-1] or f.requires_grad)
+    sx, sw = _sink(x), _sink(w)
+    sf = [_sink(f) for f in factors]
+    n = len(factors)
+    live = [sx.requires_grad]  # whether each factor's input needs a gradient
+    for sk in sf[:-1]:
+        live.append(live[-1] or sk.requires_grad)
 
-    def backward(g):
+    def backward(g, *arrays):
+        ins, fdat, w_data, x_data = arrays[:n], arrays[n:2 * n], arrays[-2], arrays[-1]
         gk = g if c is None else g * c
-        for k in reversed(range(len(factors))):
-            f = factors[k]
-            if f.requires_grad:
-                _accum(f, ins[k].T @ gk)
+        for k in reversed(range(n)):
+            if sf[k].requires_grad:
+                _accum(sf[k], ins[k].T @ gk)
             if not live[k]:
                 break
-            gk = gk @ f.data.T
+            gk = gk @ fdat[k].T
         else:  # x's adapter-path share goes in before its main-path share
-            _accum(x, gk)
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
+            _accum(sx, gk)
+        if sx.requires_grad:
+            _accum(sx, g @ w_data.T)
+        if sw.requires_grad:
+            _accum(sw, x_data.T @ g)
 
-    saved = ((w, x.data),) + tuple(zip(factors, ins))
-    return _record(out_data, (x, w) + factors, backward, "adapted_linear", saved)
+    # A factor's data carries the gradient back toward x, so it is paired with x.
+    saved = (_keep(*zip(sf, ins))
+             + tuple([(sx, f.data if lv else None) for f, lv in zip(factors, live)])
+             + _keep((sx, w.data), (sw, x.data)))
+    return _record(out_data, (sx, sw, *sf), backward, "adapted_linear", saved)
 
 
 def add(a, b):
@@ -217,58 +269,66 @@ def add(a, b):
     if bias and b.data.reshape(-1).shape[0] != a.data.shape[-1]:
         raise ShapeError(f"add shapes incompatible: {a.data.shape} + {b.data.shape}")
     out_data = a.data + b.data
+    sa, sb = _sink(a), _sink(b)
+    b_shape = b.data.shape
 
     def backward(g):
-        _accum(a, g)
+        _accum(sa, g)
         if bias:
-            _accum(b, g.sum(axis=0).reshape(b.data.shape))
+            _accum(sb, g.sum(axis=0).reshape(b_shape))
         else:
-            _accum(b, g)
+            _accum(sb, g)
 
-    return _record(out_data, (a, b), backward, "add")
+    return _record(out_data, (sa, sb), backward, "add")
 
 
 def sub(a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub shapes differ: {a.data.shape} - {b.data.shape}")
     out_data = a.data - b.data
+    sa, sb = _sink(a), _sink(b)
 
     def backward(g):
-        _accum(a, g)
-        _accum(b, -g)
+        _accum(sa, g)
+        _accum(sb, -g)
 
-    return _record(out_data, (a, b), backward, "sub")
+    return _record(out_data, (sa, sb), backward, "sub")
 
 
 def mul(a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shapes differ: {a.data.shape} * {b.data.shape}")
     out_data = a.data * b.data
+    sa, sb = _sink(a), _sink(b)
 
-    def backward(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+    def backward(g, b_data, a_data):
+        if sa.requires_grad:
+            _accum(sa, g * b_data)
+        if sb.requires_grad:
+            _accum(sb, g * a_data)
 
-    return _record(out_data, (a, b), backward, "mul")
+    return _record(out_data, (sa, sb), backward, "mul", _keep((sa, b.data), (sb, a.data)))
 
 
 def scale(a, c):
     c = _dtype(c)
     out_data = a.data * c
+    sa = _sink(a)
 
     def backward(g):
-        _accum(a, g * c)
+        _accum(sa, g * c)
 
-    return _record(out_data, (a,), backward, "scale")
+    return _record(out_data, (sa,), backward, "scale")
 
 
 def transpose(a):
     out_data = a.data.T.copy()
+    sa = _sink(a)
 
     def backward(g):
-        _accum(a, g.T.copy())
+        _accum(sa, g.T.copy())
 
-    return _record(out_data, (a,), backward, "transpose")
+    return _record(out_data, (sa,), backward, "transpose")
 
 
 def gelu(a):
@@ -277,7 +337,8 @@ def gelu(a):
     Each product and sum updates a fresh buffer in place. Every step is the
     IEEE operation of the plain formula on the same two operands (a + b
     and a * b commute exactly), so the bits are the formula's, with fewer
-    temporaries.
+    temporaries. A recorded node computes its slope d gelu / dx during the
+    forward, so it keeps that one array rather than x and the tanh.
     """
     x = a.data
     c, k = _dtype(_GELU_C), _dtype(_GELU_A)
@@ -289,36 +350,39 @@ def gelu(a):
     np.tanh(t, out=t)
     out_data = _dtype(0.5) * x
     out_data *= 1 + t
-
-    def backward(g):
+    sa = _sink(a)
+    slope = None
+    if sa.requires_grad and _active_tape is not None:
         # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (c * (1 + 3 * k * x * x))
         dinner = (3 * k) * x
         dinner *= x
         dinner += 1
         dinner *= c
-        slope = t * t
-        np.subtract(1, slope, out=slope)
-        slope *= 0.5 * x
-        slope *= dinner
-        da = 1 + t
-        da *= 0.5
-        da += slope
-        da *= g
-        _accum(a, da)
+        tail = t * t
+        np.subtract(1, tail, out=tail)
+        tail *= 0.5 * x
+        tail *= dinner
+        slope = 1 + t
+        slope *= 0.5
+        slope += tail
 
-    return _record(out_data, (a,), backward, "gelu")
+    def backward(g, slope):
+        _accum(sa, slope * g)
+
+    return _record(out_data, (sa,), backward, "gelu", _keep((sa, slope)))
 
 
 def softmax_rows(a):
     z = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     out_data = e / e.sum(axis=1, keepdims=True)
+    sa = _sink(a)
 
-    def backward(g):
-        dot = (g * out_data).sum(axis=1, keepdims=True)
-        _accum(a, out_data * (g - dot))
+    def backward(g, p):
+        dot = (g * p).sum(axis=1, keepdims=True)
+        _accum(sa, p * (g - dot))
 
-    return _record(out_data, (a,), backward, "softmax")
+    return _record(out_data, (sa,), backward, "softmax", _keep((sa, out_data)))
 
 
 def attention(q, k, v, n, heads, mask=None):
@@ -329,7 +393,8 @@ def attention(q, k, v, n, heads, mask=None):
     The heads run as (b, h, n, d_h) stacks through batched matmuls in the
     same operand layouts and operation order as slicing out each sequence
     and head and composing matmul, scale, add and softmax_rows, so both
-    give the same bits.
+    give the same bits. The node keeps its own head stacks of q, k and v
+    and the probabilities, not the q, k, v arrays.
     """
     shapes = (q.data.shape, k.data.shape, v.data.shape)
     if q.data.ndim != 2 or len(set(shapes)) != 1:
@@ -364,17 +429,25 @@ def attention(q, k, v, n, heads, mask=None):
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
     out_data = merge(p @ vs)
+    sq, sk, sv = _sink(q), _sink(k), _sink(v)
 
-    def backward(g):
+    def backward(g, p, vs, kt, qs):
         gs = heads_of(g)
-        dp = gs @ vs.transpose(0, 1, 3, 2)
-        dot = (dp * p).sum(axis=-1, keepdims=True)
-        ds = (p * (dp - dot)) * c
-        _accum(q, merge(ds @ kt.transpose(0, 1, 3, 2)))
-        _accum(k, merge((qs.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)))
-        _accum(v, merge(p.transpose(0, 1, 3, 2) @ gs))
+        if sq.requires_grad or sk.requires_grad:
+            dp = gs @ vs.transpose(0, 1, 3, 2)
+            dot = (dp * p).sum(axis=-1, keepdims=True)
+            ds = (p * (dp - dot)) * c
+            if sq.requires_grad:
+                _accum(sq, merge(ds @ kt.transpose(0, 1, 3, 2)))
+            if sk.requires_grad:
+                _accum(sk, merge((qs.transpose(0, 1, 3, 2) @ ds).transpose(0, 1, 3, 2)))
+        if sv.requires_grad:
+            _accum(sv, merge(p.transpose(0, 1, 3, 2) @ gs))
 
-    return _record(out_data, (q, k, v), backward, "attention")
+    # Every gradient reads p; q's and k's read vs.
+    qk = sq.requires_grad or sk.requires_grad
+    saved = ((sq, p), (sq, vs if qk else None)) + _keep((sq, kt), (sk, qs))
+    return _record(out_data, (sq, sk, sv), backward, "attention", saved)
 
 
 def _row_max(x):
@@ -417,19 +490,25 @@ def layer_norm(a, gain, bias, eps=1e-5):
     xhat = xc * inv
     gdat = gain.data.reshape(1, -1)
     out_data = xhat * gdat + bias.data.reshape(1, -1)
+    sa, sg, sb = _sink(a), _sink(gain), _sink(bias)
+    g_shape, b_shape = gain.data.shape, bias.data.shape
 
-    def backward(g):
-        gg = g * gdat
-        m1 = _row_mean(gg)
-        m2 = _row_mean(gg * xhat)
-        _accum(a, (gg - m1 - xhat * m2) * inv)
+    def backward(g, xhat, inv, gdat):
+        if sa.requires_grad:
+            gg = g * gdat
+            m1 = _row_mean(gg)
+            m2 = _row_mean(gg * xhat)
+            _accum(sa, (gg - m1 - xhat * m2) * inv)
         # Frozen gain and bias (every adapter run) get no gradient.
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).sum(axis=0).reshape(gain.data.shape))
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=0).reshape(bias.data.shape))
+        if sg.requires_grad:
+            _accum(sg, (g * xhat).sum(axis=0).reshape(g_shape))
+        if sb.requires_grad:
+            _accum(sb, g.sum(axis=0).reshape(b_shape))
 
-    return _record(out_data, (a, gain, bias), backward, "layer_norm")
+    # The gain's gradient reads xhat too.
+    saved = (((sa, xhat if sa.requires_grad or sg.requires_grad else None),)
+             + _keep((sa, inv), (sa, gdat)))
+    return _record(out_data, (sa, sg, sb), backward, "layer_norm", saved)
 
 
 def embedding(table, ids):
@@ -437,14 +516,16 @@ def embedding(table, ids):
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.data.shape[0]:
         raise ShapeError(f"embedding ids out of range for table {table.data.shape}")
     out_data = table.data[ids]
+    st = _sink(table)
+    shape, dt = table.data.shape, table.data.dtype
 
-    def backward(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
+    def backward(g, ids):
+        if st.requires_grad:
+            gt = np.zeros(shape, dt)
             np.add.at(gt, ids, g)
-            _accum(table, gt)
+            _accum(st, gt)
 
-    return _record(out_data, (table,), backward, "embedding")
+    return _record(out_data, (st,), backward, "embedding", _keep((st, ids)))
 
 
 def cross_entropy(logits, targets):
@@ -460,70 +541,81 @@ def cross_entropy(logits, targets):
     zs = z - _row_max(z)
     lse = np.log(np.exp(zs).sum(axis=1, keepdims=True))
     logp = zs - lse
-    picked = np.where(valid, logp[np.arange(z.shape[0]), np.maximum(targets, 0)], 0.0)
+    cols = np.maximum(targets, 0)
+    picked = np.where(valid, logp[np.arange(z.shape[0]), cols], 0.0)
     out_data = np.asarray(-picked.sum() / n_valid, dtype=_dtype)
+    sl = _sink(logits)
 
-    def backward(g):
+    def backward(g, logp, cols, valid):
         p = np.exp(logp)
-        p[np.arange(z.shape[0]), np.maximum(targets, 0)] -= 1.0
+        p[np.arange(p.shape[0]), cols] -= 1.0
         p[~valid] = 0.0
-        _accum(logits, (float(g) / n_valid) * p.astype(_dtype, copy=False))
+        _accum(sl, (float(g) / n_valid) * p.astype(_dtype, copy=False))
 
-    return _record(out_data, (logits,), backward, "cross_entropy")
+    return _record(out_data, (sl,), backward, "cross_entropy",
+                   _keep((sl, logp), (sl, cols), (sl, valid)))
 
 
 def concat_cols(tensors):
     widths = [t.data.shape[1] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=1)
+    sinks = tuple(_sink(t) for t in tensors)
 
     def backward(g):
         j = 0
-        for t, w in zip(tensors, widths):
-            _accum(t, g[:, j : j + w])
+        for st, w in zip(sinks, widths):
+            _accum(st, g[:, j : j + w])
             j += w
 
-    return _record(out_data, tuple(tensors), backward, "concat_cols")
+    return _record(out_data, sinks, backward, "concat_cols")
 
 
 def concat_rows(tensors):
     heights = [t.data.shape[0] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=0)
+    sinks = tuple(_sink(t) for t in tensors)
 
     def backward(g):
         i = 0
-        for t, h in zip(tensors, heights):
-            _accum(t, g[i : i + h])
+        for st, h in zip(sinks, heights):
+            _accum(st, g[i : i + h])
             i += h
 
-    return _record(out_data, tuple(tensors), backward, "concat_rows")
+    return _record(out_data, sinks, backward, "concat_rows")
 
 
 def slice_rows(a, i0, i1):
     out_data = a.data[i0:i1].copy()
+    sa = _sink(a)
+    shape, dt = a.data.shape, a.data.dtype
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dt)
         ga[i0:i1] = g
-        _accum(a, ga)
+        _accum(sa, ga)
 
-    return _record(out_data, (a,), backward, "slice_rows")
+    return _record(out_data, (sa,), backward, "slice_rows")
 
 
 def slice_cols(a, j0, j1):
     out_data = a.data[:, j0:j1].copy()
+    sa = _sink(a)
+    shape, dt = a.data.shape, a.data.dtype
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dt)
         ga[:, j0:j1] = g
-        _accum(a, ga)
+        _accum(sa, ga)
 
-    return _record(out_data, (a,), backward, "slice_cols")
+    return _record(out_data, (sa,), backward, "slice_cols")
 
 
 def tensor_sum(a):
     out_data = np.asarray(a.data.sum(), dtype=_dtype)
+    sa = _sink(a)
+    shape, dt = a.data.shape, a.data.dtype
 
     def backward(g):
-        _accum(a, np.full_like(a.data, float(g)))
+        _accum(sa, np.full(shape, float(g), dt))
 
-    return _record(out_data, (a,), backward, "sum")
+    return _record(out_data, (sa,), backward, "sum")

@@ -150,20 +150,22 @@ class Adam:
                 # v += (1 - b2) * (g * g - v), m += (1 - b1) * (g - m) and
                 # lr * (m / bc1) / (sqrt(v / bc2) + eps), each operation in
                 # place on a fresh buffer (a * b and a + b commute exactly).
-                buf = g * g
-                buf -= v
-                buf *= 1.0 - self.beta2
-                v += buf
-                g -= m
-                g *= 1.0 - self.beta1
-                m += g
-                np.divide(v, bc2, out=buf)
-                np.sqrt(buf, out=buf)
-                buf += self.eps
-                np.divide(m, bc1, out=g)
-                g *= self.lr
-                g /= buf
-                data[sel, :live] -= g
+                # An overflow shows as a non-finite parameter, reported below.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    buf = g * g
+                    buf -= v
+                    buf *= 1.0 - self.beta2
+                    v += buf
+                    g -= m
+                    g *= 1.0 - self.beta1
+                    m += g
+                    np.divide(v, bc2, out=buf)
+                    np.sqrt(buf, out=buf)
+                    buf += self.eps
+                    np.divide(m, bc1, out=g)
+                    g *= self.lr
+                    g /= buf
+                    data[sel, :live] -= g
                 if not isinstance(sel, slice):
                     m_all[sel, :live], v_all[sel, :live] = m, v
             if members and not np.isfinite(data).all():
@@ -178,12 +180,14 @@ class Adam:
 
 def count_retained_activations(tape, param_ids):
     """Floats the backward pass must retain to update trainable parameters:
-    the activations that tape nodes saved for the gradient of a trainable
-    parameter (`Tensor._saved`). Each array counts once."""
+    the float arrays that tape nodes keep for a trainable parameter's
+    gradient (`Node._saved`; an embedding's integer ids are not floats).
+    Each array counts once."""
     retained = {}
     for node in tape.nodes:
-        for param, act in node._saved:
-            if param.requires_grad and id(param) in param_ids:
+        for sink, act in node._saved:
+            if (act is not None and act.dtype.kind == "f" and sink.requires_grad
+                    and id(sink) in param_ids):
                 retained[id(act)] = act.size
     return int(sum(retained.values()))
 
@@ -294,7 +298,10 @@ def train(cfg, backbone_weights=None, metrics_hook=None):
     """Run fine-tuning (or full training); returns per-step metrics and state.
 
     Metrics rows are (step, loss, live_trainable_params, retained_floats).
-    Aborts with a diagnostic if the loss goes non-finite.
+    Aborts with a diagnostic if the loss goes non-finite. A step's graph
+    (its tape, loss and every array a backward reads) is dropped once its
+    retained floats are counted, before the optimizer update, so one step's
+    graph at most is alive at a time.
     """
     model, opt, schedules = build_run(cfg, backbone_weights)
     task = make_task(cfg.task, cfg.model.vocab, cfg.model.context, seed=cfg.seed + 1)
@@ -322,6 +329,7 @@ def train(cfg, backbone_weights=None, metrics_hook=None):
                 )
             tape.backward(loss)
         retained = count_retained_activations(tape, param_ids)
+        del loss, tape  # step t's graph goes before the update and step t+1
         opt.step()
         opt.zero_grad()
         row = (t, loss_val, opt.live_scalars(), retained)

@@ -345,6 +345,16 @@ class TestFinetuneReport:
         assert "L0.q.s is not finite after Adam step 1" in err
         assert os.listdir(out) == []
 
+    def test_update_overflow_prints_only_the_error_line(self, tmp_path):
+        # A fresh interpreter shows numpy's warnings, which pytest would capture.
+        cfg = _run_config(tmp_path, total_steps=1, lr=1e39)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lamda.cli", "finetune", "--config", str(cfg),
+             "--out-dir", str(tmp_path / "o")], capture_output=True, text=True)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical error: parameter "), lines
+
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "c.json"

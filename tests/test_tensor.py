@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -399,6 +400,45 @@ class TestBackward:
         l1, g1 = run()
         l2, g2 = run()
         assert np.array_equal(l1, l2) and np.array_equal(g1, g2)
+
+
+class TestNodesHoldOnlyWhatBackwardReads:
+    def test_backward_frees_every_node_gradient(self, f64):
+        rng = np.random.default_rng(7)
+        arrs = [rng.normal(size=shape) for shape in [(3, 4), (4, 4), (4,), (4,), (5, 4)]]
+        with Tape() as tape:
+            grads = tape.backward(_composite_loss(arrs))
+        assert len(tape.nodes) > 10 and all(node.grad is None for node in tape.nodes)
+        assert len(grads) == 4 and all(grads[t] is t.grad for t in grads)
+
+    def test_add_output_feeding_layer_norm_is_not_kept(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        y = Tensor(rng.normal(size=(6, 4)))
+        gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        with Tape() as tape:
+            h = add(x, y)
+            ref = weakref.ref(h.data)
+            out = layer_norm(h, gain, bias)
+            del h
+            assert ref() is None  # layer_norm keeps xhat and inv, not its input
+            grads = tape.backward(tensor_sum(mul(out, Tensor(rng.normal(size=(6, 4))))))
+        assert list(grads) == [x]
+
+    @pytest.mark.parametrize("lora", [False, True])
+    def test_adapted_linear_keeps_its_input_only_for_a_trainable_a(self, lora):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(8, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 5)))
+        a = Tensor(rng.normal(size=(6, 2)), requires_grad=lora)
+        s = None if lora else Tensor(np.eye(2), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        with Tape():
+            h = scale(x, 2.0)
+            ref = weakref.ref(h.data)
+            adapted_linear(h, w, a, s, b)
+            del h
+            assert (ref() is not None) == lora
 
 
 def _composite_loss(arrs):

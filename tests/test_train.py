@@ -1,17 +1,18 @@
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
-from lamda import container
+from lamda import accounting, container
 from lamda.adapter import AdapterConfig, build_adapter
 from lamda.errors import ConfigError, NumericalError
-from lamda.model import ToyTransformerConfig
+from lamda.model import ToyTransformer, ToyTransformerConfig
 from lamda.tasks import IGNORE, make_task
-from lamda.tensor import Tensor
-from lamda.train import (Adam, TrainRunConfig, build_run, eval_loss,
-                         resolve_ranks, train)
+from lamda.tensor import Tape, Tensor
+from lamda.train import (Adam, TrainRunConfig, build_run, count_retained_activations,
+                         eval_loss, resolve_ranks, train)
 
 SMALL = ToyTransformerConfig(layers=1, d_model=16, heads=2, ffn_dim=32,
                              vocab=11, context=8)
@@ -383,3 +384,55 @@ class TestTraining:
         model, _, _ = build_run(cfg)
         val = eval_loss(model, "copy", cfg, batches=2)
         assert np.isfinite(val)
+
+
+class TestOneGraphPerStep:
+    def test_train_drops_a_step_graph_before_the_next_forward(self, monkeypatch):
+        loss_fn, prev, dead = ToyTransformer.loss, [], []
+
+        def loss(model, tokens, targets):
+            if prev:
+                dead.append(prev[-1]() is None)
+            out = loss_fn(model, tokens, targets)
+            prev.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(ToyTransformer, "loss", loss)
+        cfg = TrainRunConfig(method="lamda", rank=2, total_steps=4, batch_size=2,
+                             adapted_kinds=("q", "ffn1"), model=SMALL)
+        train(cfg)
+        assert dead == [True, True, True]
+
+    @pytest.mark.parametrize("method", ["lora", "lamda"])
+    def test_retained_count_is_the_closed_form(self, method):
+        """The floats the tape nodes keep for trainable parameters, read from
+        their `_saved` records, before and after t_i."""
+        kinds, rank, batch = ("q", "k", "v", "ffn1", "ffn2"), 2, 3
+        cfg = TrainRunConfig(method=method, rank=rank, batch_size=batch, ti_fraction=0.5,
+                             init_mode="kaiming", adapted_kinds=kinds, model=SMALL)
+        model, opt, _ = build_run(cfg)
+        param_ids = {id(slot["tensor"]) for slot in opt.slots.values()}
+        inputs, targets = make_task("copy", SMALL.vocab, SMALL.context, seed=1).batch(batch)
+
+        def step_count():
+            with Tape() as tape:
+                tape.backward(model.loss(inputs, targets))
+            return count_retained_activations(tape, param_ids)
+
+        spec = accounting.ModelSpec(name="small", layers=SMALL.layers, d_model=SMALL.d_model,
+                                    ffn_dim=SMALL.ffn_dim, adapted_kinds=kinds,
+                                    seq_len=SMALL.context, batch=batch)
+        core = accounting.count_lamda_effective(spec, rank, 0.5).activation_floats
+        if method == "lamda":
+            assert step_count() == (core["adapter_core_input"]
+                                    + core["up_projection_input_while_trainable"])
+            for st in model.adapters.values():
+                st.set_trainable_rows(0)  # past t_i only the cores train
+            assert step_count() == core["adapter_core_input"]
+        else:
+            # q, k and v read one input array, which is kept once; b's
+            # gradient also reads the r-wide x @ a of every module.
+            inputs_once = {**vars(spec), "adapted_kinds": ("q", "ffn1", "ffn2")}
+            lora = accounting.count_lora(accounting.ModelSpec(**inputs_once), rank)
+            lora = lora.activation_floats
+            assert step_count() == lora["adapter_input"] + core["adapter_core_input"]
