@@ -96,23 +96,31 @@ class CostReport:
         return rows
 
 
-def _module_rank(ranks, module):
+def _module_rank(ranks, module, d_in, d_out):
+    """`module`'s rank from one int or a {module id: rank} map, checked to
+    lie in [1, min(d_in, d_out)]."""
     if isinstance(ranks, dict):
         if module not in ranks:
             raise ConfigError(f"no rank assigned for module {module!r}")
-        return int(ranks[module])
-    return int(ranks)
+        ranks = ranks[module]
+    r = int(ranks)
+    if r < 1:
+        raise ConfigError(f"rank {r} of module {module!r} is below 1")
+    if r > min(d_in, d_out):
+        raise ConfigError(f"rank {r} exceeds min dim of module {module!r}")
+    return r
 
 
 def count_lora(spec, rank):
-    """LoRA: both projections trainable; the d_in-wide input is retained."""
+    """LoRA: both projections trainable. `adapter_input` is the per-module
+    closed form, the b*n*d_in-float input of every module. The engine keeps
+    q, k and v's shared input once, plus each module's r-wide `x @ a`.
+    """
     per_module = []
     total = 0
     act = 0
     for module, (d_in, d_out) in spec.modules():
-        if rank > min(d_in, d_out):
-            raise ConfigError(f"rank {rank} exceeds min dim of module {module!r}")
-        p = (d_in + d_out) * rank
+        p = (d_in + d_out) * _module_rank(rank, module, d_in, d_out)
         a = spec.batch * spec.seq_len * d_in
         per_module.append(
             {"module": module, "trainable_params": p, "effective_params": p,
@@ -146,9 +154,7 @@ def count_lamda_effective(spec, ranks, ti_fraction):
     act_core = 0.0
     act_up = 0.0
     for module, (d_in, d_out) in spec.modules():
-        r = _module_rank(ranks, module)
-        if r > min(d_in, d_out):
-            raise ConfigError(f"rank {r} exceeds min dim of module {module!r}")
+        r = _module_rank(ranks, module, d_in, d_out)
         core = r * r
         eff = ti_fraction * (r * d_out) / 2.0 + core
         a_core = spec.batch * spec.seq_len * r
@@ -200,8 +206,8 @@ def optimizer_state_bytes(live_trainable_params, bytes_per_scalar=4):
 def live_trainable_params(spec, ranks, rows_by_module):
     """Live trainable scalars mid-schedule: core + still-trainable up rows."""
     total = 0
-    for module, (_, d_out) in spec.modules():
-        r = _module_rank(ranks, module)
+    for module, (d_in, d_out) in spec.modules():
+        r = _module_rank(ranks, module, d_in, d_out)
         rows = rows_by_module[module] if isinstance(rows_by_module, dict) else rows_by_module
         total += r * r + rows * d_out
     return total

@@ -125,6 +125,11 @@ def allocate(scores, budget, reverse=False):
     """
     if not scores:
         raise ConfigError("no modules to allocate ranks for")
+    seen = set()
+    for m in scores:
+        if m.module in seen:
+            raise ConfigError(f"module {m.module!r} is scored more than once")
+        seen.add(m.module)
     ordered = sorted(scores, key=lambda m: (m.score, m.layer, _kind_index(m.kind)))
     n = len(ordered)
     s = len(budget.ranks)

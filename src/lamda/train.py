@@ -17,7 +17,7 @@ from .errors import ConfigError, NumericalError
 from .model import ToyTransformer, ToyTransformerConfig
 from .svd import svd_many
 from .tasks import make_task
-from .tensor import Tape, get_float_mode
+from .tensor import Tape, Tensor, get_float_mode
 
 METHODS = ("full", "lora", "lamda", "lamda++")
 
@@ -61,10 +61,25 @@ class TrainRunConfig:
                 raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
         if not 0.0 <= self.ti_fraction <= 1.0:
             raise ConfigError(f"ti_fraction {self.ti_fraction} outside [0, 1]")
-        if self.method == "lamda++" and not (self.budget_ranks or self.rank_plan):
+        # lora and lamda read `rank`; lamda++ reads its rank_plan, or else its
+        # budget. A rank key that the run would not read is an error, not a
+        # silent default.
+        unread = () if self.rank_budget() else ("budget_ranks", "budget_target",
+                                                "reverse_allocation")
+        if self.method != "lamda++":
+            unread = ("rank_plan",) + unread
+        for key in unread:
+            if getattr(self, key):
+                raise ConfigError(f"{key} does nothing in a {self.method} run"
+                                  + (" with a rank_plan" if self.method == "lamda++" else ""))
+
+    def rank_budget(self):
+        """The budget a lamda++ run without a rank_plan allocates its ranks from; else None."""
+        if self.method != "lamda++" or self.rank_plan:
+            return None
+        if not self.budget_ranks:
             raise ConfigError("lamda++ needs budget_ranks/budget_target or rank_plan")
-        if self.method == "lamda++" and not self.rank_plan:
-            _alloc.RankBudget(ranks=tuple(self.budget_ranks), target=self.budget_target)
+        return _alloc.RankBudget(ranks=tuple(self.budget_ranks), target=self.budget_target)
 
     def digest(self):
         doc = asdict(self)
@@ -178,41 +193,18 @@ class Adam:
             slot["tensor"].grad = None
 
 
-def count_retained_activations(tape, param_ids):
+def count_retained_activations(tape):
     """Floats the backward pass must retain to update trainable parameters:
-    the float arrays that tape nodes keep for a trainable parameter's
-    gradient (`Node._saved`; an embedding's integer ids are not floats).
-    Each array counts once."""
+    the float arrays that tape nodes keep for the gradient of a trainable
+    leaf (`Node._saved`; an embedding's integer ids are not floats). Every
+    leaf on a run's tape is a parameter. Each array counts once."""
     retained = {}
     for node in tape.nodes:
         for sink, act in node._saved:
-            if (act is not None and act.dtype.kind == "f" and sink.requires_grad
-                    and id(sink) in param_ids):
+            if (act is not None and act.dtype.kind == "f" and isinstance(sink, Tensor)
+                    and sink.requires_grad):
                 retained[id(act)] = act.size
     return int(sum(retained.values()))
-
-
-def resolve_ranks(cfg, backbone_weights, module_ids, decompositions=None):
-    """Per-module adapter ranks for the configured method.
-
-    A LaMDA++ budget scores each weight by its SVD; `decompositions`, if
-    given, holds those SVDs by module id (see `score_modules`).
-    """
-    if cfg.method in ("full",):
-        return {}
-    if cfg.method in ("lora", "lamda"):
-        return {m: cfg.rank for m in module_ids}
-    if cfg.rank_plan:
-        missing = [m for m in module_ids if m not in cfg.rank_plan]
-        if missing:
-            raise ConfigError(f"rank_plan misses modules: {missing}")
-        return {m: int(cfg.rank_plan[m]) for m in module_ids}
-    budget = _alloc.RankBudget(ranks=tuple(cfg.budget_ranks), target=cfg.budget_target)
-    scores = _alloc.score_modules(
-        {m: backbone_weights[m] for m in module_ids}, budget, decompositions
-    )
-    plan = _alloc.allocate(scores, budget, reverse=cfg.reverse_allocation)
-    return plan.ranks
 
 
 @dataclass
@@ -248,21 +240,30 @@ def build_run(cfg, backbone_weights=None):
 
     module_ids = model.linear_module_ids(cfg.adapted_kinds)
     weights = {m: model.params[m].data for m in module_ids}
-    scored = cfg.method == "lamda++" and not cfg.rank_plan  # ranks from spectra
-    ranks = {} if scored else resolve_ranks(cfg, weights, module_ids)
+    budget = cfg.rank_budget()  # a LaMDA++ budget ranks the modules by their spectra
+    if cfg.rank_plan:  # only lamda++ has one
+        missing = [m for m in module_ids if m not in cfg.rank_plan]
+        extra = sorted(set(cfg.rank_plan) - set(module_ids))
+        if missing:
+            raise ConfigError(f"rank_plan misses modules: {missing}")
+        if extra:
+            raise ConfigError(f"rank_plan names modules that are not adapted: {extra}")
+        ranks = {m: int(cfg.rank_plan[m]) for m in module_ids}
+    elif not budget:
+        ranks = {m: cfg.rank for m in module_ids}
     decompositions = {}
     if cfg.method != "lora":
         # Every rank must fit its weight before any SVD runs. A budget gives
         # each module one of its candidate ranks, so its largest is checked.
-        largest = max(cfg.budget_ranks) if scored else None
         for m, w in weights.items():
-            AdapterConfig(rank=ranks.get(m, largest), shape=w.shape, alpha=cfg.alpha,
-                          init_mode=cfg.init_mode).validate()
-        if scored or cfg.init_mode != "kaiming":
+            AdapterConfig(rank=budget.ranks[-1] if budget else ranks[m], shape=w.shape,
+                          alpha=cfg.alpha, init_mode=cfg.init_mode).validate()
+        if budget or cfg.init_mode != "kaiming":
             # Spectral init and budget scoring share one SVD per weight.
             decompositions = svd_many(weights)
-    if scored:
-        ranks = resolve_ranks(cfg, weights, module_ids, decompositions)
+    if budget:
+        scores = _alloc.score_modules(weights, budget, decompositions)
+        ranks = _alloc.allocate(scores, budget, reverse=cfg.reverse_allocation).ranks
     ti = int(round(cfg.ti_fraction * cfg.total_steps))
     for i, module in enumerate(sorted(ranks)):
         w, r, seed = model.params[module].data, ranks[module], cfg.seed * 7919 + i
@@ -305,9 +306,6 @@ def train(cfg, backbone_weights=None, metrics_hook=None):
     """
     model, opt, schedules = build_run(cfg, backbone_weights)
     task = make_task(cfg.task, cfg.model.vocab, cfg.model.context, seed=cfg.seed + 1)
-    param_ids = {id(t) for t in model.params.values()}
-    for st in model.adapters.values():
-        param_ids.update(id(t) for t in st.tensors().values())
     metrics = []
 
     for t in range(cfg.total_steps):
@@ -328,7 +326,7 @@ def train(cfg, backbone_weights=None, metrics_hook=None):
                     f"task={cfg.task}, lr={cfg.lr})"
                 )
             tape.backward(loss)
-        retained = count_retained_activations(tape, param_ids)
+        retained = count_retained_activations(tape)
         del loss, tape  # step t's graph goes before the update and step t+1
         opt.step()
         opt.zero_grad()

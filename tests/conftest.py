@@ -1,9 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 from lamda.model import ToyTransformerConfig
 from lamda.tensor import set_float_mode
 from lamda.train import pretrain_backbone
+
+# The BLAS thread count this process started with. Collecting
+# perfbench/run.py later sets OPENBLAS_NUM_THREADS=1 in os.environ: child
+# interpreters see that, but numpy here has already loaded with this value.
+OPENBLAS_THREADS_AT_START = os.environ.get("OPENBLAS_NUM_THREADS")
 
 TOY_MODEL = dict(layers=2, d_model=64, heads=4, ffn_dim=256, vocab=32, context=16)
 

@@ -141,6 +141,11 @@ class TestAllocate:
         # identical scores: layer asc, then kind order q < k < v
         assert plan1.order[:3] == ["L0.q", "L0.k", "L0.v"]
 
+    def test_module_scored_twice_rejected(self):
+        scores = _synthetic_scores(4)
+        with pytest.raises(ConfigError, match="'L1.q' is scored more than once"):
+            allocate(scores + [scores[1]], BUDGET)
+
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             allocate([], BUDGET)

@@ -119,6 +119,22 @@ class TestCount:
         doc = json.loads(out.read_text())
         assert doc["trainable_params"] == pytest.approx(28.0e6, rel=0.005)
 
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["--method", "lora", "--rank", "-5"], "rank -5", id="lora-rank-negative"),
+        pytest.param(["--method", "lamda", "--rank", "0"], "rank 0", id="lamda-rank-zero"),
+        pytest.param(["--method", "lamda", "--rank-plan", "PLAN"], "'L0.v'",
+                     id="plan-rank-zero"),
+    ])
+    def test_rank_below_one_is_usage_error(self, tmp_path, capsys, argv, named):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"ranks": dict(_LLAMA_PLAN, **{"L0.v": 0})}))
+        out = tmp_path / "count.json"
+        argv = [str(plan) if a == "PLAN" else a for a in argv]
+        assert run_cli("count", "--model-preset", "llama2-7b", *argv,
+                       "--json", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset(self):
         assert run_cli("count", "--model-preset", "gpt-99", "--method", "lora",
                        "--json", "-") == 2
@@ -151,6 +167,7 @@ _TINY_RUN = {"total_steps": 1, "batch_size": 2,
     pytest.param("plan", json.dumps({"modules": [dict(_SCORE, rank=4)]}),
                  id="score-entry-unknown-field"),
     pytest.param("plan", '{"modules": {"L0.q": 1.0}}', id="scores-modules-an-object"),
+    pytest.param("plan", json.dumps({"modules": [_SCORE, _SCORE]}), id="module-scored-twice"),
     pytest.param("plan-budget", '{"ranks": "246", "target": 4}', id="budget-ranks-a-string"),
     pytest.param("finetune", json.dumps(dict(_TINY_RUN, adapted_kinds="qv")),
                  id="adapted-kinds-a-string"),
@@ -181,6 +198,7 @@ def test_malformed_json_input_is_usage_error(tmp_path, capsys, command, text):
 
 
 _LAMDAPP = {"method": "lamda++", "budget_ranks": [2, 4, 6], "budget_target": 4}
+_LAMDAPP_PLAN = {"method": "lamda++", "rank_plan": {"L0.q": 2, "L0.v": 4}}
 # (key path, bad value, other overrides): a wrong JSON type, then an out-of-range value.
 _BAD_RUN_VALUES = [
     ("rank", "8", {}),
@@ -206,6 +224,14 @@ _BAD_RUN_VALUES = [
     ("adam_eps", -1, {}),
     ("alpha", 0, {}),
     ("alpha", -1.0, {}),
+    # LaMDA++-only keys under another method, and budget keys next to a plan.
+    ("rank_plan", {"L0.q": 2, "L0.v": 2}, {}),
+    ("budget_ranks", [2, 4, 6], {"method": "lora"}),
+    ("budget_target", 4, {}),
+    ("reverse_allocation", True, {"method": "full"}),
+    ("budget_ranks", [4, 8, 12], _LAMDAPP_PLAN),
+    ("budget_target", 8, _LAMDAPP_PLAN),
+    ("reverse_allocation", True, _LAMDAPP_PLAN),
 ]
 
 
@@ -268,6 +294,13 @@ class TestFinetuneReport:
         assert run_cli("finetune", "--config", str(cfg), "--out-dir", str(out)) == 2
         assert leaf in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rank_plan_module_not_adapted_is_usage_error(self, tmp_path, capsys):
+        plan = {"L0.q": 2, "L0.v": 2, "L7.q": 2}
+        cfg = _run_config(tmp_path, method="lamda++", rank_plan=plan)
+        code = run_cli("finetune", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert "rank_plan" in (err := capsys.readouterr().err) and "L7.q" in err
 
     @pytest.mark.parametrize("kind", ["qq", "Q"])
     def test_unknown_adapted_kind_is_usage_error(self, tmp_path, capsys, kind):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import OPENBLAS_THREADS_AT_START
 from lamda import kernels
 from lamda.svd import svd
 
@@ -63,7 +64,7 @@ def test_numpy_and_njit_agree_bitwise():
     the same number of sweeps to bitwise-equal `at`/`vt`, and the row norms
     of `at` must be the singular values of the eigensolver oracle.
     """
-    threads = "2" if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else "1"
+    threads = "2" if OPENBLAS_THREADS_AT_START == "1" else "1"
     code = ("import json, test_kernels as t; "
             "print(json.dumps(t._fingerprints(t._kernel_runs())))")
     there = json.loads(_python(code, OPENBLAS_NUM_THREADS=threads))

@@ -7,12 +7,14 @@ import pytest
 import oracles
 from lamda import accounting, container
 from lamda.adapter import AdapterConfig, build_adapter
+from lamda.allocator import RankBudget, allocate, score_modules
 from lamda.errors import ConfigError, NumericalError
 from lamda.model import ToyTransformer, ToyTransformerConfig
+from lamda.svd import svd_many
 from lamda.tasks import IGNORE, make_task
 from lamda.tensor import Tape, Tensor
 from lamda.train import (Adam, TrainRunConfig, build_run, count_retained_activations,
-                         eval_loss, resolve_ranks, train)
+                         eval_loss, train)
 
 SMALL = ToyTransformerConfig(layers=1, d_model=16, heads=2, ffn_dim=32,
                              vocab=11, context=8)
@@ -217,24 +219,47 @@ class TestConfig:
         assert a != b and len(a) == 16
 
 
+def _adapter_ranks(model):
+    return {m: st.a.data.shape[1] for m, st in model.adapters.items()}
+
+
 class TestResolveRanks:
+    """`build_run` gives each adapted module its rank."""
+
     def test_uniform_for_lamda(self):
-        cfg = TrainRunConfig(method="lamda", rank=4, model=SMALL)
-        ranks = resolve_ranks(cfg, {}, ["L0.q", "L0.v"])
-        assert ranks == {"L0.q": 4, "L0.v": 4}
+        for method in ("lora", "lamda"):
+            cfg = TrainRunConfig(method=method, rank=4, adapted_kinds=("q", "v"), model=SMALL)
+            model, _, _ = build_run(cfg)
+            assert _adapter_ranks(model) == {"L0.q": 4, "L0.v": 4}, method
 
     def test_explicit_plan_must_cover_modules(self):
         cfg = TrainRunConfig(method="lamda++", rank_plan={"L0.q": 4}, model=SMALL)
         with pytest.raises(ConfigError, match="misses"):
-            resolve_ranks(cfg, {}, ["L0.q", "L0.v"])
+            build_run(cfg)
+
+    def test_explicit_plan_must_name_only_adapted_modules(self):
+        plan = dict.fromkeys(["L0.q", "L0.k", "L0.v", "L0.ffn1", "L0.ffn2", "L7.q"], 4)
+        cfg = TrainRunConfig(method="lamda++", rank_plan=plan, model=SMALL)
+        with pytest.raises(ConfigError, match=r"not adapted: \['L7.q'\]"):
+            build_run(cfg)
 
     def test_budget_allocation_runs(self):
-        rng = np.random.default_rng(0)
-        weights = {m: rng.normal(size=(16, 16)) for m in ("L0.q", "L0.k", "L0.v", "L0.ffn1")}
         cfg = TrainRunConfig(method="lamda++", budget_ranks=(2, 4, 6), budget_target=4,
                              model=SMALL)
-        ranks = resolve_ranks(cfg, weights, list(weights))
-        assert sorted(ranks.values())[0] >= 2 and len(ranks) == 4
+        ranks = _adapter_ranks(build_run(cfg)[0])
+        assert len(ranks) == 5 and set(ranks.values()) <= {2, 4, 6}
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_budget_ranks_are_the_allocation_of_the_scores(self, reverse):
+        cfg = TrainRunConfig(method="lamda++", budget_ranks=(2, 4, 6), budget_target=4,
+                             reverse_allocation=reverse, model=SMALL)
+        model, _, _ = build_run(cfg)
+        w = {m: model.params[m].data for m in model.linear_module_ids(cfg.adapted_kinds)}
+        budget = RankBudget(ranks=(2, 4, 6), target=4)
+        want = allocate(score_modules(w, budget, svd_many(w)), budget, reverse).ranks
+        assert _adapter_ranks(model) == want
+        # Quantile groups of 1, 2 and 2 modules for 3 candidate ranks.
+        assert sorted(want.values()) == ([2, 4, 4, 6, 6] if reverse else [2, 2, 4, 4, 6])
 
     def test_lamdapp_decomposes_each_weight_once(self, monkeypatch, toy_cfg):
         """Budget scoring and spectral init share one SVD per adapted weight."""
@@ -410,14 +435,13 @@ class TestOneGraphPerStep:
         kinds, rank, batch = ("q", "k", "v", "ffn1", "ffn2"), 2, 3
         cfg = TrainRunConfig(method=method, rank=rank, batch_size=batch, ti_fraction=0.5,
                              init_mode="kaiming", adapted_kinds=kinds, model=SMALL)
-        model, opt, _ = build_run(cfg)
-        param_ids = {id(slot["tensor"]) for slot in opt.slots.values()}
+        model, _, _ = build_run(cfg)
         inputs, targets = make_task("copy", SMALL.vocab, SMALL.context, seed=1).batch(batch)
 
         def step_count():
             with Tape() as tape:
                 tape.backward(model.loss(inputs, targets))
-            return count_retained_activations(tape, param_ids)
+            return count_retained_activations(tape)
 
         spec = accounting.ModelSpec(name="small", layers=SMALL.layers, d_model=SMALL.d_model,
                                     ffn_dim=SMALL.ffn_dim, adapted_kinds=kinds,
