@@ -19,7 +19,7 @@ from .train import train
 
 def _write_json(path, doc):
     text = json.dumps(doc, indent=2, sort_keys=True)
-    if path == "-" or path is None:
+    if path == "-":
         print(text)
     else:
         with container.atomic_open(path, "w", encoding="utf-8") as fh:
@@ -50,6 +50,12 @@ def cmd_analyze(args):
     budget = allocator.RankBudget(ranks=_parse_int_list(args.ranks), target=args.target)
 
     names = sorted(matrices)
+    # The largest candidate rank must fit every matrix before any SVD runs;
+    # an empty matrix is left to svd's own check.
+    for name in names:
+        if 0 < min(matrices[name].shape) < budget.ranks[-1]:
+            raise ConfigError(f"module {name!r}: largest candidate rank {budget.ranks[-1]} "
+                              f"exceeds the min dim of its {matrices[name].shape} matrix")
     sigmas = {n: svd(matrices[n]).sigma for n in names}
 
     scores = [allocator.score_from_sigma(n, sigmas[n], budget) for n in names]
@@ -119,8 +125,8 @@ def _write_metrics_csv(path, metrics):
 def cmd_finetune(args):
     cfg = load_run_config(args.config)
     backbone = container.read_weights(args.backbone) if args.backbone else None
-    os.makedirs(args.out_dir, exist_ok=True)
     result = train(cfg, backbone_weights=backbone)
+    os.makedirs(args.out_dir, exist_ok=True)
     _write_metrics_csv(os.path.join(args.out_dir, "metrics.csv"), result.metrics)
     tensors, meta = container.checkpoint_from_result(result)
     container.save_checkpoint(os.path.join(args.out_dir, "checkpoint.ldck"), tensors, meta)

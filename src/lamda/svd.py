@@ -40,19 +40,18 @@ class SpectrumSplit:
     a: np.ndarray  # d_in x r
     b: np.ndarray  # r x d_out
     w_res: np.ndarray  # d_in x d_out
-    rank: int
 
 
-def svd(w, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
+def svd(w, max_sweeps=MAX_SWEEPS):
     """Jacobi SVD of a d_in x d_out matrix; k = min(d_in, d_out) >= 1.
 
     The sweep runs on the side with fewer columns so the rotation count
     stays k*(k-1)/2 per sweep. This is the one-matrix case of `svd_many`.
     """
-    return svd_many({"matrix": w}, tol, max_sweeps)["matrix"]
+    return svd_many({"matrix": w}, max_sweeps)["matrix"]
 
 
-def svd_many(weights, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
+def svd_many(weights, max_sweeps=MAX_SWEEPS):
     """`svd` of every matrix of a {key: matrix} map, as {key: decomposition}.
 
     Every matrix is checked before any is decomposed. Matrices whose kernel
@@ -71,7 +70,7 @@ def svd_many(weights, tol=DEFAULT_TOL, max_sweeps=MAX_SWEEPS):
         for b, key in enumerate(keys):
             at[b] = operands[key][0].T  # rows are working columns
         vt = np.broadcast_to(np.eye(k), at.shape[:1] + (k, k)).copy()
-        _, worst, converged = jacobi_sweeps(at, vt, tol, max_sweeps)
+        _, worst, converged = jacobi_sweeps(at, vt, DEFAULT_TOL, max_sweeps)
         for b, key in enumerate(keys):
             if not converged[b]:
                 raise NumericalError(
@@ -173,28 +172,27 @@ def _fix_signs(u, v, eps=1e-12):
             v[:, j] = -v[:, j]
 
 
-def _check_rank(r, k):
-    if not 1 <= r <= k:
-        raise ConfigError(f"rank {r} out of range [1, {k}]")
-
-
 def split_spectrum(dec, r):
     """Top-r components into (a, b), remainder into the residual main path."""
-    _check_rank(r, dec.k)
-    a = dec.u[:, :r] * dec.sigma[:r]
-    b = dec.v[:, :r].T.copy()
-    w_res = (dec.u[:, r:] * dec.sigma[r:]) @ dec.v[:, r:].T
-    return SpectrumSplit(a=a, b=b, w_res=w_res, rank=r)
+    return _split(dec, r, tail=False)
 
 
 def split_spectrum_tail(dec, r):
     """Last-r components into (a, b); the dominant part stays in the main path."""
-    _check_rank(r, dec.k)
-    k = dec.k
-    a = dec.u[:, k - r :] * dec.sigma[k - r :]
-    b = dec.v[:, k - r :].T.copy()
-    w_res = (dec.u[:, : k - r] * dec.sigma[: k - r]) @ dec.v[:, : k - r].T
-    return SpectrumSplit(a=a, b=b, w_res=w_res, rank=r)
+    return _split(dec, r, tail=True)
+
+
+def _split(dec, r, tail):
+    """(a, b) from the r components at one end of the spectrum; the others
+    sum into the residual."""
+    if not 1 <= r <= dec.k:
+        raise ConfigError(f"rank {r} out of range [1, {dec.k}]")
+    path = slice(dec.k - r, None) if tail else slice(None, r)
+    res = slice(None, dec.k - r) if tail else slice(r, None)
+    a = dec.u[:, path] * dec.sigma[path]
+    b = dec.v[:, path].T.copy()
+    w_res = (dec.u[:, res] * dec.sigma[res]) @ dec.v[:, res].T
+    return SpectrumSplit(a=a, b=b, w_res=w_res)
 
 
 def energy_score(sigma, r):

@@ -15,8 +15,7 @@ IGNORE = -1
 
 
 class Task:
-    def __init__(self, name, seq_len, seed):
-        self.name = name
+    def __init__(self, seq_len, seed):
         self.seq_len = seq_len
         self.rng = np.random.default_rng(seed)
 
@@ -25,23 +24,22 @@ class Task:
 
 
 class _PairTask(Task):
-    """Shared machinery for copy/reverse: emit x, SEP, transform(x)."""
+    """copy/reverse: emit x, SEP, then x or x reversed. The tokens of x are
+    drawn below SEP, the last token id."""
 
-    reverse = False
-
-    def __init__(self, name, vocab, context, seed):
+    def __init__(self, vocab, context, seed, reverse):
         if context % 2 != 0 or context < 4:
             raise ConfigError(f"copy/reverse need an even context >= 4, got {context}")
         if vocab < 3:
             raise ConfigError("copy/reverse need vocab >= 3")
-        super().__init__(name, context, seed)
+        super().__init__(context, seed)
         self.half = context // 2
         self.sep = vocab - 1
-        self.alphabet = vocab - 1
+        self.reverse = reverse
 
     def batch(self, batch_size):
         m = self.half
-        x = self.rng.integers(0, self.alphabet, size=(batch_size, m))
+        x = self.rng.integers(0, self.sep, size=(batch_size, m))
         y = x[:, ::-1] if self.reverse else x
         full = np.concatenate(
             [x, np.full((batch_size, 1), self.sep), y], axis=1
@@ -52,17 +50,9 @@ class _PairTask(Task):
         return inputs, targets
 
 
-class CopyTask(_PairTask):
-    reverse = False
-
-
-class ReverseTask(_PairTask):
-    reverse = True
-
-
 class ModSumTask(Task):
     def __init__(self, vocab, context, seed):
-        super().__init__("modsum", context, seed)
+        super().__init__(context, seed)
         self.vocab = vocab
 
     def batch(self, batch_size):
@@ -78,7 +68,7 @@ class TextTask(Task):
     """Character-level windows from a plain-text file."""
 
     def __init__(self, path, vocab, context, seed):
-        super().__init__(f"text:{path}", context, seed)
+        super().__init__(context, seed)
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         if len(text) <= context + 1:
@@ -90,7 +80,6 @@ class TextTask(Task):
             )
         lut = {c: i for i, c in enumerate(chars)}
         self.ids = np.array([lut[c] for c in text], dtype=np.int64)
-        self.chars = chars
 
     def batch(self, batch_size):
         n = self.seq_len
@@ -101,10 +90,8 @@ class TextTask(Task):
 
 
 def make_task(task_id, vocab, context, seed=0):
-    if task_id == "copy":
-        return CopyTask("copy", vocab, context, seed)
-    if task_id == "reverse":
-        return ReverseTask("reverse", vocab, context, seed)
+    if task_id in ("copy", "reverse"):
+        return _PairTask(vocab, context, seed, reverse=task_id == "reverse")
     if task_id == "modsum":
         return ModSumTask(vocab, context, seed)
     if task_id.startswith("text:"):

@@ -9,8 +9,6 @@ executed outside a tape compute values but record nothing, which is what
 evaluation passes use.
 """
 
-from __future__ import annotations
-
 import contextlib
 import math
 
@@ -264,20 +262,14 @@ def adapted_linear(x, w, a, s, b, alpha=1.0):
 
 
 def add(a, b):
-    """Elementwise add; `b` may be a length-d row broadcast over a's rows."""
-    bias = a.data.shape != b.data.shape
-    if bias and b.data.reshape(-1).shape[0] != a.data.shape[-1]:
-        raise ShapeError(f"add shapes incompatible: {a.data.shape} + {b.data.shape}")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add shapes differ: {a.data.shape} + {b.data.shape}")
     out_data = a.data + b.data
     sa, sb = _sink(a), _sink(b)
-    b_shape = b.data.shape
 
     def backward(g):
         _accum(sa, g)
-        if bias:
-            _accum(sb, g.sum(axis=0).reshape(b_shape))
-        else:
-            _accum(sb, g)
+        _accum(sb, g)
 
     return _record(out_data, (sa, sb), backward, "add")
 

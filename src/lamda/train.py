@@ -20,6 +20,7 @@ from .tasks import make_task
 from .tensor import Tape, Tensor, get_float_mode
 
 METHODS = ("full", "lora", "lamda", "lamda++")
+EVAL_SEED = 10_000  # every eval draws the same batches
 
 
 @dataclass
@@ -285,9 +286,9 @@ def build_run(cfg, backbone_weights=None):
     return model, opt, schedules
 
 
-def eval_loss(model, task_id, cfg, batches=4, seed=10_000):
+def eval_loss(model, task_id, cfg, batches=4):
     """Mean loss on freshly drawn eval batches; no graph is recorded."""
-    task = make_task(task_id, cfg.model.vocab, cfg.model.context, seed=seed)
+    task = make_task(task_id, cfg.model.vocab, cfg.model.context, seed=EVAL_SEED)
     losses = []
     for _ in range(batches):
         inputs, targets = task.batch(cfg.batch_size)

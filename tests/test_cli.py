@@ -90,6 +90,21 @@ class TestAnalyzePlan:
         assert message in capsys.readouterr().err
         assert not scores.exists() and not energy.exists()
 
+    def test_rank_too_large_for_a_matrix_fails_before_any_svd(self, tmp_path, capsys,
+                                                              monkeypatch):
+        rng = np.random.default_rng(1)
+        weights = tmp_path / "w.ldwt"
+        container.write_weights(weights, {"L0.k": rng.normal(size=(16, 16)),
+                                          "L0.q": rng.normal(size=(16, 16)),
+                                          "L0.v": rng.normal(size=(8, 16))})
+        calls = []
+        monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
+                            lambda at, *args: calls.append(at.shape))
+        scores = tmp_path / "scores.json"
+        assert run_cli("analyze", "--weights", str(weights), "--ranks", "4,8,12",
+                       "--target", "8", "--scores-out", str(scores)) == 2
+        assert "'L0.v'" in capsys.readouterr().err
+        assert calls == [] and not scores.exists()
 
     def test_matrix_no_scale_fits_is_numerical_error(self, tmp_path, capsys):
         weights = tmp_path / "w.ldwt"
@@ -202,6 +217,7 @@ _LAMDAPP_PLAN = {"method": "lamda++", "rank_plan": {"L0.q": 2, "L0.v": 4}}
 # (key path, bad value, other overrides): a wrong JSON type, then an out-of-range value.
 _BAD_RUN_VALUES = [
     ("rank", "8", {}),
+    ("rank", 17, {}),  # exceeds the d 16 model's weights; build_run rejects it
     ("total_steps", 2.5, {}),
     ("lr", "0.1", {}),
     ("ti_fraction", "0.3", {}),
@@ -301,6 +317,7 @@ class TestFinetuneReport:
         code = run_cli("finetune", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert "rank_plan" in (err := capsys.readouterr().err) and "L7.q" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["qq", "Q"])
     def test_unknown_adapted_kind_is_usage_error(self, tmp_path, capsys, kind):
@@ -376,7 +393,7 @@ class TestFinetuneReport:
         assert run_cli("finetune", "--config", str(cfg), "--out-dir", str(out)) == 3
         err = capsys.readouterr().err
         assert "L0.q.s is not finite after Adam step 1" in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_update_overflow_prints_only_the_error_line(self, tmp_path):
         # A fresh interpreter shows numpy's warnings, which pytest would capture.

@@ -1,0 +1,53 @@
+"""Every name a `lamda` module imports is used in that module.
+
+The one exception is the allow-list of bindings that perfbench's tracer
+test reads: each entry names the `perfbench/` file that needs it, and
+leaves the list once that file no longer binds the name.
+"""
+
+import ast
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "lamda")
+
+# (module, name) -> the perfbench file that binds `module.name`
+PERFBENCH_SHIMS = {
+    ("adapter", "matmul"): "perfbench/test_perfbench.py",
+    ("model", "slice_cols"): "perfbench/test_perfbench.py",
+    ("allocator", "svd"): "perfbench/test_perfbench.py",
+}
+
+# `__init__.py` imports only to re-export, so it is not checked.
+MODULES = sorted(f[:-3] for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+
+
+def _unused_imports(module):
+    with open(os.path.join(SRC, f"{module}.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {name: line for name, line in imported.items() if name not in used}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    unused = {name: line for name, line in _unused_imports(module).items()
+              if (module, name) not in PERFBENCH_SHIMS}
+    assert not unused, f"lamda/{module}.py imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("module, name", sorted(PERFBENCH_SHIMS))
+def test_each_shim_is_unused_and_bound_by_perfbench(module, name):
+    assert name in _unused_imports(module), f"{module}.{name} is used; drop it from the list"
+    with open(os.path.join(ROOT, PERFBENCH_SHIMS[module, name]), encoding="utf-8") as fh:
+        assert f'"{module}.{name}"' in fh.read()

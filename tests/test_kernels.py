@@ -57,7 +57,7 @@ def _svd_fingerprint():
     return [_sha256(dec.u), _sha256(dec.sigma), _sha256(dec.v)]
 
 
-def test_numpy_and_njit_agree_bitwise():
+def test_kernel_bits_do_not_depend_on_blas_threads():
     """The bits svd gets from its kernel do not depend on how the kernel is run.
 
     A fresh interpreter with a different BLAS thread count must converge in
@@ -90,7 +90,7 @@ def test_kernel_orthogonalizes_rows():
     assert np.abs(vt @ vt.T - np.eye(10)).max() <= 1e-12
 
 
-def test_env_flag_selects_numpy_fallback():
+def test_retired_no_numba_flag_leaves_factors_unchanged():
     """Setting the retired LDA_NO_NUMBA flag leaves svd's factors bitwise unchanged."""
     code = "import json, test_kernels; print(json.dumps(test_kernels._svd_fingerprint()))"
     flagged = json.loads(_python(code, LDA_NO_NUMBA="1"))
@@ -98,7 +98,7 @@ def test_env_flag_selects_numpy_fallback():
     assert flagged == plain
 
 
-def test_default_uses_numba_when_available():
+def test_svd_runs_the_one_kernel():
     """With no env flag, svd runs the package's one kernel."""
     _python("from lamda.kernels import jacobi_sweeps as kernel; "
             "from lamda.svd import jacobi_sweeps as used; "

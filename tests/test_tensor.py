@@ -36,6 +36,11 @@ class TestMatmul:
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def test_add_shape_mismatch_names_both_shapes():
+    with pytest.raises(ShapeError, match=r"\(3, 4\).*\(4,\)"):
+        add(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
+
+
 class TestFrozenOperand:
     def test_frozen_weight_gets_no_gradient(self):
         rng = np.random.default_rng(11)

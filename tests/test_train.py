@@ -32,8 +32,10 @@ class TestTasks:
         assert np.array_equal(targets[:, m:], inputs[:, :m])
 
     def test_reverse_layout(self):
+        copy_inputs, _ = make_task("copy", vocab=11, context=8, seed=0).batch(4)
         task = make_task("reverse", vocab=11, context=8, seed=0)
         inputs, targets = task.batch(4)
+        assert np.array_equal(inputs[:, :4], copy_inputs[:, :4])  # one seed, one x
         assert np.array_equal(targets[:, 4:], inputs[:, :4][:, ::-1])
 
     def test_modsum_recurrence(self):
