@@ -14,6 +14,7 @@ from importlib import resources
 
 from .config import from_json
 from .errors import ConfigError
+from .svd import check_rank
 
 # The adapted linear modules of one transformer layer, in the order the toy
 # model draws their weights.
@@ -98,17 +99,12 @@ class CostReport:
 
 def _module_rank(ranks, module, d_in, d_out):
     """`module`'s rank from one int or a {module id: rank} map, checked to
-    lie in [1, min(d_in, d_out)]."""
+    fit its d_in x d_out weight."""
     if isinstance(ranks, dict):
         if module not in ranks:
             raise ConfigError(f"no rank assigned for module {module!r}")
         ranks = ranks[module]
-    r = int(ranks)
-    if r < 1:
-        raise ConfigError(f"rank {r} of module {module!r} is below 1")
-    if r > min(d_in, d_out):
-        raise ConfigError(f"rank {r} exceeds min dim of module {module!r}")
-    return r
+    return check_rank(ranks, (d_in, d_out), module)
 
 
 def count_lora(spec, rank):

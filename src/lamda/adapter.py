@@ -32,9 +32,7 @@ class AdapterConfig:
     init_mode: str = "spectral_top"
 
     def validate(self):
-        d_in, d_out = self.shape
-        if not 1 <= self.rank <= min(d_in, d_out):
-            raise ConfigError(f"rank {self.rank} out of range for shape {self.shape}")
+        _svd.check_rank(self.rank, self.shape)
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}")
 
@@ -132,8 +130,7 @@ def build_adapter(w, cfg, seed=0, dec=None):
 
 def build_lora(w, rank, alpha=1.0, seed=0):
     w = np.asarray(w)
-    if not 1 <= rank <= min(w.shape):
-        raise ConfigError(f"rank {rank} out of range for shape {w.shape}")
+    _svd.check_rank(rank, w.shape)
     rng = np.random.default_rng(seed)
     a = kaiming_normal(rng, w.shape[0], (w.shape[0], rank))
     return LoraState(

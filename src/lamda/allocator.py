@@ -16,7 +16,7 @@ import numpy as np
 
 from .accounting import KINDS
 from .errors import ConfigError
-from .svd import energy_score
+from .svd import check_rank, energy_score
 # Unused here; perfbench's self-test checks that its tracer also wraps this
 # module's binding of `svd`.
 from .svd import svd  # noqa: F401
@@ -74,12 +74,7 @@ def _kind_index(kind):
 
 def score_from_sigma(module, sigma, budget):
     sigma = np.asarray(sigma, dtype=np.float64)
-    r_lo, r_hi = budget.ranks[0], budget.ranks[-1]
-    if r_hi > sigma.shape[0]:
-        raise ConfigError(
-            f"module {module!r}: largest candidate rank {r_hi} exceeds "
-            f"spectrum length {sigma.shape[0]}"
-        )
+    r_lo, r_hi = budget.ranks[0], check_rank(budget.ranks[-1], sigma.shape, module)
     e_lo = energy_score(sigma, r_lo)
     e_hi = energy_score(sigma, r_hi)
     e_target = energy_score(sigma, budget.target)

@@ -9,10 +9,11 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 from . import accounting, allocator, container
 from .config import from_json, load_run_config, read_json
-from .svd import energy_score, svd
+from .svd import check_rank, energy_score, svd
 from .errors import ConfigError, LamdaError, NumericalError
 from .train import train
 
@@ -24,6 +25,13 @@ def _write_json(path, doc):
     else:
         with container.atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+def _write_csv(path, rows):
+    """Write an iterable of rows to `path` as CSV. The rows may be lazy: if
+    one fails, `path` is left as it was."""
+    with container.atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _parse_int_list(text):
@@ -40,37 +48,37 @@ def cmd_analyze(args):
     weights = container.read_weights(args.weights)
     if args.modules:
         wanted = args.modules.split(",")
-        missing = [m for m in wanted if m not in weights]
-        if missing:
-            raise ConfigError(f"weights file has no tensor named {missing[0]!r}")
+        for m in wanted:
+            if m not in weights:
+                raise ConfigError(f"weights file has no tensor named {m!r}")
+            if weights[m].ndim != 2:
+                raise ConfigError(f"--modules names {m!r}, which is not a matrix "
+                                  f"(shape {weights[m].shape})")
         weights = {m: weights[m] for m in wanted}
     matrices = {name: w for name, w in weights.items() if w.ndim == 2}
     if not matrices:
         raise ConfigError("no 2-D tensors to analyze")
     budget = allocator.RankBudget(ranks=_parse_int_list(args.ranks), target=args.target)
+    if args.max_rank < 1:
+        raise ConfigError(f"--max-rank must be >= 1, got {args.max_rank}")
 
     names = sorted(matrices)
     # The largest candidate rank must fit every matrix before any SVD runs;
     # an empty matrix is left to svd's own check.
     for name in names:
-        if 0 < min(matrices[name].shape) < budget.ranks[-1]:
-            raise ConfigError(f"module {name!r}: largest candidate rank {budget.ranks[-1]} "
-                              f"exceeds the min dim of its {matrices[name].shape} matrix")
+        if min(matrices[name].shape) > 0:
+            check_rank(budget.ranks[-1], matrices[name].shape, name)
     sigmas = {n: svd(matrices[n]).sigma for n in names}
 
     scores = [allocator.score_from_sigma(n, sigmas[n], budget) for n in names]
     _write_json(args.scores_out, {"modules": [asdict(m) for m in scores]})
 
     if args.energy_csv:
-        with container.atomic_open(args.energy_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["module", "rank", "energy_ratio"])
-            for name in names:
-                sigma = sigmas[name]
-                total = energy_score(sigma, len(sigma))
-                top = min(args.max_rank, len(sigma))
-                for r in range(1, top + 1):
-                    writer.writerow([name, r, energy_score(sigma, r) / total])
+        totals = {n: energy_score(sigma, len(sigma)) for n, sigma in sigmas.items()}
+        _write_csv(args.energy_csv, chain(
+            [["module", "rank", "energy_ratio"]],
+            ([n, r, energy_score(sigmas[n], r) / totals[n]]
+             for n in names for r in range(1, min(args.max_rank, len(sigmas[n])) + 1))))
     return 0
 
 
@@ -106,8 +114,7 @@ def cmd_count(args):
         raise ConfigError(f"count supports methods lora|lamda, got {method!r}")
     _write_json(args.json, asdict(report))
     if args.csv:
-        with container.atomic_open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(report.csv_rows())
+        _write_csv(args.csv, report.csv_rows())
     return 0
 
 
@@ -115,11 +122,9 @@ def cmd_count(args):
 
 
 def _write_metrics_csv(path, metrics):
-    with container.atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "live_params", "stored_activation_floats"])
-        for step, loss, live, retained in metrics:
-            writer.writerow([step, repr(float(loss)), live, retained])
+    _write_csv(path, chain(
+        [["step", "loss", "live_params", "stored_activation_floats"]],
+        ([step, repr(float(loss)), live, retained] for step, loss, live, retained in metrics)))
 
 
 def cmd_finetune(args):
@@ -176,18 +181,12 @@ def cmd_report(args):
                 raise ConfigError(f"{path}: step {step} appears more than once")
             series[run][step] = r
     steps = sorted(set().union(*(s.keys() for s in series.values())))
-    header = ["step"]
-    for run in runs:
-        header += [f"{run}.loss", f"{run}.live_params"]
-    with container.atomic_open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for step in steps:
-            row = [step]
-            for run in runs:
-                rec = series[run].get(step)
-                row += [rec["loss"] if rec else "", rec["live_params"] if rec else ""]
-            writer.writerow(row)
+    columns = ("loss", "live_params")
+    missing = dict.fromkeys(columns, "")
+    _write_csv(args.out, chain(
+        [["step"] + [f"{run}.{c}" for run in runs for c in columns]],
+        ([step] + [series[run].get(step, missing)[c] for run in runs for c in columns]
+         for step in steps)))
     return 0
 
 
@@ -253,7 +252,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, LamdaError, FileNotFoundError) as exc:
+    except (LamdaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

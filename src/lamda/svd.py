@@ -182,11 +182,25 @@ def split_spectrum_tail(dec, r):
     return _split(dec, r, tail=True)
 
 
+def check_rank(rank, shape, module=None):
+    """`rank` as an int, checked to fit a matrix of `shape`: 1 <= rank <= min(shape).
+
+    This is the one check of a rank against a weight. Its ConfigError names
+    `module` if given, and the shape that a rank exceeds.
+    """
+    r = int(rank)
+    if not 1 <= r <= min(shape):
+        where = "" if module is None else f"module {module!r}: "
+        why = ("is below 1" if r < 1
+               else f"exceeds the min dim {min(shape)} of shape {tuple(shape)}")
+        raise ConfigError(f"{where}rank {r} {why}")
+    return r
+
+
 def _split(dec, r, tail):
     """(a, b) from the r components at one end of the spectrum; the others
     sum into the residual."""
-    if not 1 <= r <= dec.k:
-        raise ConfigError(f"rank {r} out of range [1, {dec.k}]")
+    r = check_rank(r, (dec.u.shape[0], dec.v.shape[0]))
     path = slice(dec.k - r, None) if tail else slice(None, r)
     res = slice(None, dec.k - r) if tail else slice(r, None)
     a = dec.u[:, path] * dec.sigma[path]

@@ -4,7 +4,8 @@ copy / reverse: the input is [x_0..x_{m-1}, SEP, y_0..y_{m-1}] with
 y = x (copy) or y = reversed(x) (reverse); only the positions producing
 y are scored, so a causal model must retrieve earlier tokens. modsum is
 a running (a+b) mod vocab recurrence scored everywhere. "text:<path>"
-samples windows from a plain-text character corpus.
+samples windows from a plain-text character corpus. Each task draws from
+its own seeded RNG, and `batch(batch_size)` returns (inputs, targets).
 """
 
 import numpy as np
@@ -14,16 +15,7 @@ from .errors import ConfigError
 IGNORE = -1
 
 
-class Task:
-    def __init__(self, seq_len, seed):
-        self.seq_len = seq_len
-        self.rng = np.random.default_rng(seed)
-
-    def batch(self, batch_size):
-        raise NotImplementedError
-
-
-class _PairTask(Task):
+class _PairTask:
     """copy/reverse: emit x, SEP, then x or x reversed. The tokens of x are
     drawn below SEP, the last token id."""
 
@@ -32,7 +24,7 @@ class _PairTask(Task):
             raise ConfigError(f"copy/reverse need an even context >= 4, got {context}")
         if vocab < 3:
             raise ConfigError("copy/reverse need vocab >= 3")
-        super().__init__(context, seed)
+        self.rng = np.random.default_rng(seed)
         self.half = context // 2
         self.sep = vocab - 1
         self.reverse = reverse
@@ -50,10 +42,11 @@ class _PairTask(Task):
         return inputs, targets
 
 
-class ModSumTask(Task):
+class ModSumTask:
     def __init__(self, vocab, context, seed):
-        super().__init__(context, seed)
+        self.seq_len = context
         self.vocab = vocab
+        self.rng = np.random.default_rng(seed)
 
     def batch(self, batch_size):
         n = self.seq_len
@@ -64,11 +57,12 @@ class ModSumTask(Task):
         return seq[:, :n], seq[:, 1:].copy()
 
 
-class TextTask(Task):
+class TextTask:
     """Character-level windows from a plain-text file."""
 
     def __init__(self, path, vocab, context, seed):
-        super().__init__(context, seed)
+        self.seq_len = context
+        self.rng = np.random.default_rng(seed)
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         if len(text) <= context + 1:

@@ -12,10 +12,10 @@ import numpy as np
 from . import allocator as _alloc
 from . import freezing as _freeze
 from .accounting import KINDS
-from .adapter import AdapterConfig, build_adapter, build_lora
+from .adapter import INIT_MODES, AdapterConfig, build_adapter, build_lora
 from .errors import ConfigError, NumericalError
 from .model import ToyTransformer, ToyTransformerConfig
-from .svd import svd_many
+from .svd import check_rank, svd_many
 from .tasks import make_task
 from .tensor import Tape, Tensor, get_float_mode
 
@@ -62,6 +62,8 @@ class TrainRunConfig:
                 raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
         if not 0.0 <= self.ti_fraction <= 1.0:
             raise ConfigError(f"ti_fraction {self.ti_fraction} outside [0, 1]")
+        if self.init_mode not in INIT_MODES:
+            raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         # lora and lamda read `rank`; lamda++ reads its rank_plan, or else its
         # budget. A rank key that the run would not read is an error, not a
         # silent default.
@@ -252,16 +254,14 @@ def build_run(cfg, backbone_weights=None):
         ranks = {m: int(cfg.rank_plan[m]) for m in module_ids}
     elif not budget:
         ranks = {m: cfg.rank for m in module_ids}
+    # Every rank must fit its weight before any SVD runs. A budget gives
+    # each module one of its candidate ranks, so its largest is checked.
+    for m, w in weights.items():
+        check_rank(budget.ranks[-1] if budget else ranks[m], w.shape, m)
     decompositions = {}
-    if cfg.method != "lora":
-        # Every rank must fit its weight before any SVD runs. A budget gives
-        # each module one of its candidate ranks, so its largest is checked.
-        for m, w in weights.items():
-            AdapterConfig(rank=budget.ranks[-1] if budget else ranks[m], shape=w.shape,
-                          alpha=cfg.alpha, init_mode=cfg.init_mode).validate()
-        if budget or cfg.init_mode != "kaiming":
-            # Spectral init and budget scoring share one SVD per weight.
-            decompositions = svd_many(weights)
+    if cfg.method != "lora" and (budget or cfg.init_mode != "kaiming"):
+        # Spectral init and budget scoring share one SVD per weight.
+        decompositions = svd_many(weights)
     if budget:
         scores = _alloc.score_modules(weights, budget, decompositions)
         ranks = _alloc.allocate(scores, budget, reverse=cfg.reverse_allocation).ranks

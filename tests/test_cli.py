@@ -106,6 +106,23 @@ class TestAnalyzePlan:
         assert "'L0.v'" in capsys.readouterr().err
         assert calls == [] and not scores.exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["--max-rank", "0"], "--max-rank", id="max-rank-zero"),
+        pytest.param(["--max-rank", "-3"], "--max-rank", id="max-rank-negative"),
+        pytest.param(["--modules", "L0.q,bias"], "'bias'", id="module-not-a-matrix"),
+    ])
+    def test_input_analyze_would_ignore_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       weights_file, argv, named):
+        calls = []
+        monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
+                            lambda at, *args: calls.append(at.shape))
+        scores, energy = tmp_path / "scores.json", tmp_path / "energy.csv"
+        assert run_cli("analyze", "--weights", str(weights_file), "--ranks", "2,4,6",
+                       "--target", "4", "--scores-out", str(scores),
+                       "--energy-csv", str(energy), *argv) == 2
+        assert named in capsys.readouterr().err
+        assert calls == [] and not scores.exists() and not energy.exists()
+
     def test_matrix_no_scale_fits_is_numerical_error(self, tmp_path, capsys):
         weights = tmp_path / "w.ldwt"
         container.write_weights(weights, {"L0.q": np.diag([1e300] + [1.0] * 6 + [1e-300])})
@@ -218,6 +235,7 @@ _LAMDAPP_PLAN = {"method": "lamda++", "rank_plan": {"L0.q": 2, "L0.v": 4}}
 _BAD_RUN_VALUES = [
     ("rank", "8", {}),
     ("rank", 17, {}),  # exceeds the d 16 model's weights; build_run rejects it
+    ("init_mode", "bogus", {"method": "lora"}),
     ("total_steps", 2.5, {}),
     ("lr", "0.1", {}),
     ("ti_fraction", "0.3", {}),
@@ -309,6 +327,25 @@ class TestFinetuneReport:
         out = tmp_path / "o"
         assert run_cli("finetune", "--config", str(cfg), "--out-dir", str(out)) == 2
         assert leaf in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides", [
+        pytest.param("finetune", {"rank": 17}, id="lamda"),
+        pytest.param("finetune", {"method": "lora", "rank": 17}, id="lora"),
+        pytest.param("finetune", dict(_LAMDAPP, budget_ranks=[8, 16, 24], budget_target=16),
+                     id="lamdapp-candidate"),
+        pytest.param("count", {}, id="count"),
+    ])
+    def test_rank_error_names_the_module(self, tmp_path, capsys, command, overrides):
+        out = tmp_path / "o"
+        argv = {
+            "finetune": ["finetune", "--config", str(_run_config(tmp_path, **overrides)),
+                         "--out-dir", str(out)],
+            "count": ["count", "--model-preset", "llama2-7b", "--method", "lamda",
+                      "--rank", "5000", "--json", str(out)],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert "module 'L0.q': rank " in capsys.readouterr().err
         assert not out.exists()
 
     def test_rank_plan_module_not_adapted_is_usage_error(self, tmp_path, capsys):
