@@ -1,5 +1,6 @@
 """Benchmark the fused adapted linear, `lamda.tensor.adapted_linear`, against
-the matmul/scale/add composition it replaced, and a step's fixed costs:
+the matmul/scale/add composition it replaced
+(`tests/oracles.py::adapted_by_primitives`), and a step's fixed costs:
 the optimizer update and the row maxima of attention and cross-entropy.
 
 Usage: PYTHONPATH=src python benchmarks/bench_ops.py [--repeats 300] [--rounds 5]
@@ -12,11 +13,12 @@ gradients; the best time per call over the rounds is printed.
 
 Step costs: the 20 optimizer slots of the toy LaMDA run (r 8 on q, k, v,
 ffn1 and ffn2 of 2 layers: ten 8x8 `s`, eight 8x64 and two 8x256 `b`),
-updated slot by slot and by `train.Adam`'s one update per slot shape,
-before t_i (every slot live) and after it (only the `s` slots); and
-numpy's row-wise max against `tensor._row_max` on the attention scores
-(8, 4, 16, 16) and the logits (128, 32). Each pair must give byte-equal
-parameters and moments, or maxima; the best time per call is printed.
+updated slot by slot (`tests/oracles.py::AdamTwoPathRef`) and by
+`train.Adam`'s one update per slot shape, before t_i (every slot live)
+and after it (only the `s` slots); and numpy's row-wise max against
+`tensor._row_max` on the attention scores (8, 4, 16, 16) and the logits
+(128, 32). Each pair must give byte-equal parameters and moments, or
+maxima; the best time per call is printed.
 
 Model level: one training step of the toy model (d 64, ffn 256, n 16,
 b 8) and of a wider one (d 256, ffn 1024, n 32, b 8), both with rank 8 on
@@ -37,17 +39,22 @@ does.
 """
 
 import argparse
+import os
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 
-from lamda import accounting, adapter
-from lamda.model import ToyTransformerConfig
-from lamda.tasks import make_task
-from lamda.tensor import (Tape, Tensor, _row_max, adapted_linear, add, matmul, mul, scale,
-                          tensor_sum)
-from lamda.train import Adam, TrainRunConfig, build_run, train
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+
+from oracles import AdamTwoPathRef, adapted_by_primitives as composed  # noqa: E402
+
+from lamda import accounting, adapter  # noqa: E402
+from lamda.model import ToyTransformerConfig  # noqa: E402
+from lamda.tasks import make_task  # noqa: E402
+from lamda.tensor import Tape, Tensor, _row_max, adapted_linear, mul, tensor_sum  # noqa: E402
+from lamda.train import Adam, TrainRunConfig, build_run, train  # noqa: E402
 
 SHAPES = [(128, 64, 64, 8), (128, 64, 256, 8), (128, 256, 64, 8)]  # b*n, d_in, d_out, r
 MODELS = {
@@ -56,17 +63,6 @@ MODELS = {
     "d256": (ToyTransformerConfig(layers=2, d_model=256, heads=4, ffn_dim=1024,
                                   vocab=32, context=32), 8),
 }
-
-
-def composed(x, w, a, s, b, alpha=1.0):
-    """The five tape nodes (six with alpha != 1) of the adapted linear."""
-    h = matmul(x, a)
-    if s is not None:
-        h = matmul(h, s)
-    path = matmul(h, b)
-    if alpha != 1.0:
-        path = scale(path, alpha)
-    return add(matmul(x, w), path)
 
 
 def _step(op, arrs, lora, c):
@@ -108,28 +104,6 @@ def op_table(repeats, rounds):
                   f"{new:>11.1f} {old / new:>8.2f}x")
 
 
-class PerSlotAdam(Adam):
-    """The optimizer's update as it ran before slots were grouped by shape."""
-
-    def step(self):
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for slot in self.slots.values():
-            tensor = slot["tensor"]
-            live = slot["live"]
-            if tensor.grad is None or live == 0:
-                continue
-            g = tensor.grad[:live]
-            m, v = slot["m"][:live], slot["v"][:live]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            upd = (self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(
-                tensor.data.dtype
-            )
-            tensor.data[:live] -= upd
-
-
 def _best_pair(first, second, repeats, rounds, same):
     """Best mean time per call of two interleaved callables, in microseconds;
     `same()` must hold after every pair of calls."""
@@ -155,7 +129,7 @@ def step_cost_table(repeats, rounds):
     rng = np.random.default_rng(0)
     for phase, frozen_b in (("Adam.step, 20 slots before t_i", False),
                             ("Adam.step, 10 slots after t_i", True)):
-        opts = (PerSlotAdam(cfg.lr), Adam(cfg.lr))
+        opts = (AdamTwoPathRef(cfg.lr), Adam(cfg.lr))
         for opt in opts:
             for name, slot in template.slots.items():
                 live = 0 if frozen_b and name.endswith(".b") else slot["live"]

@@ -148,7 +148,6 @@ def count_lamda_effective(spec, ranks, ti_fraction):
     steady = 0
     effective = 0.0
     act_core = 0.0
-    act_up = 0.0
     for module, (d_in, d_out) in spec.modules():
         r = _module_rank(ranks, module, d_in, d_out)
         core = r * r
@@ -161,8 +160,6 @@ def count_lamda_effective(spec, ranks, ti_fraction):
         steady += core
         effective += eff
         act_core += a_core
-        if ti_fraction > 0:
-            act_up += a_core  # second r-wide intermediate while rows are live
     report = CostReport(
         method="lamda",
         trainable_params=float(steady),
@@ -172,8 +169,8 @@ def count_lamda_effective(spec, ranks, ti_fraction):
         activation_floats={"adapter_core_input": act_core},
         per_module=per_module,
     )
-    if ti_fraction > 0:
-        report.activation_floats["up_projection_input_while_trainable"] = act_up
+    if ti_fraction > 0:  # a second r-wide intermediate per module while rows are live
+        report.activation_floats["up_projection_input_while_trainable"] = act_core
     return report
 
 

@@ -128,6 +128,8 @@ def _write_metrics_csv(path, metrics):
 
 
 def cmd_finetune(args):
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise ConfigError(f"--out-dir {args.out_dir} exists and is not a directory")
     cfg = load_run_config(args.config)
     backbone = container.read_weights(args.backbone) if args.backbone else None
     result = train(cfg, backbone_weights=backbone)
@@ -252,7 +254,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (LamdaError, FileNotFoundError) as exc:
+    except (LamdaError, OSError) as exc:  # OSError: a missing or malformed path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

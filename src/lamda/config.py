@@ -62,12 +62,13 @@ def run_config_from_dict(doc, where="run config"):
 
 
 def read_json(path, required=()):
-    """The JSON object in `path`; malformed JSON, another JSON value or a
-    missing `required` key is a ConfigError naming the file."""
+    """The JSON object in `path`; text that is not UTF-8, malformed JSON,
+    another JSON value or a missing `required` key is a ConfigError naming
+    the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must hold a JSON object")

@@ -162,13 +162,9 @@ def checkpoint_from_result(result):
     tensors = {}
     for name, t in result.model.params.items():
         tensors[f"backbone/{name}"] = t.data
-    trainable_rows = {}
     for module, st in result.model.adapters.items():
         for attr, t in st.tensors().items():
             tensors[f"adapter/{module}/{attr}"] = t.data
-        rows = getattr(st, "trainable_rows", None)
-        if rows is not None:
-            trainable_rows[module] = rows
     for name, slot in result.optimizer.slots.items():
         tensors[f"opt/{name}/m"] = slot["m"]
         tensors[f"opt/{name}/v"] = slot["v"]
@@ -177,6 +173,7 @@ def checkpoint_from_result(result):
         "adam_t": result.optimizer.t,
         "method": result.config.method,
         "config_hash": result.config.digest(),
-        "trainable_rows": trainable_rows,
+        # The LaMDA modules, each with a freeze schedule.
+        "trainable_rows": {m: result.model.adapters[m].trainable_rows for m in result.schedules},
     }
     return tensors, meta

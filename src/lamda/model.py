@@ -44,8 +44,37 @@ class ToyTransformerConfig:
             )
 
 
+def backbone_shapes(cfg):
+    """{name: shape} of the backbone tensors of a `cfg` model, in the order
+    `ToyTransformer` draws them."""
+    d = cfg.d_model
+    shapes = {"tok_emb": (cfg.vocab, d), "pos_emb": (cfg.context, d), "head": (d, cfg.vocab)}
+    for i in range(cfg.layers):
+        for kind in KINDS:
+            shapes[f"L{i}.{kind}"] = kind_shape(kind, d, cfg.ffn_dim)
+        for ln in ("ln1", "ln2"):
+            shapes[f"L{i}.{ln}.g"] = shapes[f"L{i}.{ln}.b"] = (d,)
+    return shapes
+
+
+def _check_backbone(weights, cfg):
+    """A ConfigError naming the first tensor of `weights` whose name or shape
+    is not that of `backbone_shapes(cfg)`, or the first tensor it lacks."""
+    shapes = backbone_shapes(cfg)
+    for name, shape in shapes.items():
+        if name not in weights:
+            raise ConfigError(f"backbone has no tensor {name!r}, which the model config needs")
+        if np.shape(weights[name]) != shape:
+            raise ConfigError(f"backbone tensor {name!r} has shape {np.shape(weights[name])}; "
+                              f"the model config needs {shape}")
+    extra = [name for name in weights if name not in shapes]
+    if extra:
+        raise ConfigError(f"backbone tensor {extra[0]!r} is not part of the configured model")
+
+
 class ToyTransformer:
-    """Backbone parameters plus optional per-module adapters."""
+    """Backbone parameters plus optional per-module adapters. Weights passed
+    in must have the names and shapes of `backbone_shapes(cfg)`."""
 
     def __init__(self, cfg, weights=None, seed=0):
         self.cfg = cfg
@@ -53,27 +82,21 @@ class ToyTransformer:
         self._masks = {}
         if weights is None:
             weights = self._init_weights(seed)
+        else:
+            _check_backbone(weights, cfg)
         self.params = {name: Tensor(w, name=name) for name, w in weights.items()}
 
     def _init_weights(self, seed):
-        cfg = self.cfg
+        """Embeddings ~ N(0, 0.02^2), linear d_in x d_out weights ~ N(0, 1/d_in),
+        LayerNorm gains 1 and biases 0."""
         rng = np.random.default_rng(seed)
-        d, f = cfg.d_model, cfg.ffn_dim
-
-        def lin(d_in, d_out):
-            return rng.normal(0.0, 1.0 / math.sqrt(d_in), size=(d_in, d_out))
-
-        w = {
-            "tok_emb": rng.normal(0.0, 0.02, size=(cfg.vocab, d)),
-            "pos_emb": rng.normal(0.0, 0.02, size=(cfg.context, d)),
-            "head": lin(d, cfg.vocab),
-        }
-        for i in range(cfg.layers):
-            for kind in KINDS:
-                w[f"L{i}.{kind}"] = lin(*kind_shape(kind, d, f))
-            for ln in ("ln1", "ln2"):
-                w[f"L{i}.{ln}.g"] = np.ones(d)
-                w[f"L{i}.{ln}.b"] = np.zeros(d)
+        w = {}
+        for name, shape in backbone_shapes(self.cfg).items():
+            if len(shape) == 1:
+                w[name] = (np.ones if name.endswith(".g") else np.zeros)(shape)
+            else:
+                std = 0.02 if name.endswith("_emb") else 1.0 / math.sqrt(shape[0])
+                w[name] = rng.normal(0.0, std, size=shape)
         return w
 
     # -------------------------------------------------------------- plumbing

@@ -121,17 +121,11 @@ def _factors(key, at, vt, flipped, exponent):
     u = at[order].T.copy()  # m x k, columns still scaled by sigma
     v = vt[order].T.copy()
 
-    tiny = max(sigma[0], 1.0) * 1e-300
-    zero_cols = []
-    for j in range(sigma.shape[0]):
-        if sigma[j] > tiny:
-            u[:, j] /= sigma[j]
-        else:
-            sigma[j] = 0.0
-            u[:, j] = 0.0
-            zero_cols.append(j)
-    for j in zero_cols:  # sequential fill keeps earlier completions orthogonal
-        u[:, j] = _complete_column(u, j)
+    live = int(np.count_nonzero(sigma > max(sigma[0], 1.0) * 1e-300))  # sigma descends: they lead
+    u[:, :live] /= sigma[:live]
+    sigma[live:] = 0.0
+    u[:, live:] = 0.0
+    _complete_columns(u, live)
 
     _fix_signs(u, v)
     if exponent:
@@ -144,32 +138,34 @@ def _factors(key, at, vt, flipped, exponent):
     return SpectralDecomposition(u=u, sigma=sigma, v=v)
 
 
-def _complete_column(u, j):
-    """Deterministic orthonormal fill-in for a zero singular direction."""
-    m = u.shape[0]
-    for i in range(m):
-        cand = np.zeros(m)
-        cand[i] = 1.0
-        for jj in range(u.shape[1]):
-            if jj == j:
-                continue
-            col = u[:, jj]
-            nrm = col @ col
-            if nrm > 0.5:  # skip other still-unfilled zero columns
-                cand -= (cand @ col) * col
-        nrm = np.linalg.norm(cand)
-        if nrm > 0.5:
-            return cand / nrm
-    raise NumericalError("could not complete orthonormal basis")
+def _complete_columns(u, start):
+    """Fill u's zero columns from `start` on, one after another, with a
+    deterministic orthonormal completion that the later ones build on."""
+    m, k = u.shape
+    for j in range(start, k):
+        for i in range(m):
+            cand = np.zeros(m)
+            cand[i] = 1.0
+            for jj in range(k):
+                col = u[:, jj]
+                if jj != j and col @ col > 0.5:  # skip still-unfilled zero columns
+                    cand -= (cand @ col) * col
+            nrm = np.linalg.norm(cand)
+            if nrm > 0.5:
+                u[:, j] = cand / nrm
+                break
+        else:
+            raise NumericalError("could not complete orthonormal basis")
 
 
 def _fix_signs(u, v, eps=1e-12):
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > eps)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
+    """Flip the columns of u and v where u's first entry above eps in magnitude is negative."""
+    big = np.abs(u) > eps
+    first = np.argmax(big, axis=0)  # 0 in a column with no entry above eps
+    cols = np.arange(u.shape[1])
+    flip = big[first, cols] & (u[first, cols] < 0)
+    np.negative(u, out=u, where=flip)
+    np.negative(v, out=v, where=flip)
 
 
 def split_spectrum(dec, r):

@@ -64,7 +64,10 @@ class TextTask:
         self.seq_len = context
         self.rng = np.random.default_rng(seed)
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"corpus {path} is not UTF-8 text: {exc}") from None
         if len(text) <= context + 1:
             raise ConfigError(f"corpus {path} shorter than one context window")
         chars = sorted(set(text))

@@ -277,13 +277,21 @@ def build_run(cfg, backbone_weights=None):
             st = build_adapter(w, acfg, seed=seed, dec=decompositions.get(module))
             schedules[module] = _freeze.FreezeSchedule(
                 rank=r, freeze_iters=ti, total_iters=cfg.total_steps)
-            rows = _freeze.trainable_rows(schedules[module], 0)
-            if rows != r:
-                st.set_trainable_rows(rows)
             opt.add_param(f"{module}.s", st.s)
-            opt.add_param(f"{module}.b", st.b, live_rows=rows)
+            opt.add_param(f"{module}.b", st.b)
         model.adapters[module] = st
+    _freeze_rows(model, opt, schedules, 0)
     return model, opt, schedules
+
+
+def _freeze_rows(model, opt, schedules, t):
+    """Apply step t of each module's freeze schedule to its adapter and the optimizer."""
+    for module, sched in schedules.items():
+        rows = _freeze.trainable_rows(sched, t)
+        st = model.adapters[module]
+        if rows != st.trainable_rows:
+            st.set_trainable_rows(rows)
+            opt.set_live_rows(f"{module}.b", rows)
 
 
 def eval_loss(model, task_id, cfg, batches=4):
@@ -305,18 +313,14 @@ def train(cfg, backbone_weights=None, metrics_hook=None):
     retained floats are counted, before the optimizer update, so one step's
     graph at most is alive at a time.
     """
-    model, opt, schedules = build_run(cfg, backbone_weights)
+    cfg.validate()
+    # A bad config, then a bad task, fails before any SVD; the task's RNG is its own.
     task = make_task(cfg.task, cfg.model.vocab, cfg.model.context, seed=cfg.seed + 1)
+    model, opt, schedules = build_run(cfg, backbone_weights)
     metrics = []
 
     for t in range(cfg.total_steps):
-        for module, sched in schedules.items():
-            rows = _freeze.trainable_rows(sched, t)
-            st = model.adapters[module]
-            if rows != st.trainable_rows:
-                st.set_trainable_rows(rows)
-                opt.set_live_rows(f"{module}.b", rows)
-
+        _freeze_rows(model, opt, schedules, t)
         inputs, targets = task.batch(cfg.batch_size)
         with Tape() as tape:
             loss = model.loss(inputs, targets)

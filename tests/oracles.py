@@ -7,12 +7,17 @@ rotation-at-a-time loop, Adam keeps separate dense and row-masked
 update paths slot by slot, and gradients come from central finite
 differences. The `*_rowwise_max_ref` functions are the attention and
 cross-entropy expressions as they were before their row maxima moved to
-`tensor._row_max`, kept to pin those ops byte for byte.
+`tensor._row_max`, kept to pin those ops byte for byte. In the same way
+`svd_factors_loop_ref` is the SVD post-processing as it was, column by
+column, and `adapted_by_primitives` is the adapted linear as the tape's
+matmul, scale and add nodes composed it before the fused op.
 """
 
 import math
 
 import numpy as np
+
+from lamda.tensor import add, matmul, scale
 
 
 def matmul_ref(a, b):
@@ -212,6 +217,60 @@ def jacobi_sweeps_cyclic_ref(at, vt, tol, max_sweeps):
         if worst <= tol:
             return sweep + 1, worst, True
     return max_sweeps, worst, False
+
+
+def svd_factors_loop_ref(at, vt, flipped, exponent):
+    """(u, sigma, v) from the Jacobi kernel's rows `at` and rotations `vt`,
+    one column at a time: the normalization, the zeroing and sequential
+    completion of zero singular directions, and the sign fix."""
+    sigma = np.sqrt(np.einsum("ij,ij->i", at, at))
+    order = np.argsort(-sigma, kind="stable")
+    sigma = sigma[order]
+    u = at[order].T.copy()
+    v = vt[order].T.copy()
+    tiny = max(sigma[0], 1.0) * 1e-300
+    zero_cols = []
+    for j in range(sigma.shape[0]):
+        if sigma[j] > tiny:
+            u[:, j] /= sigma[j]
+        else:
+            sigma[j] = 0.0
+            u[:, j] = 0.0
+            zero_cols.append(j)
+    m = u.shape[0]
+    for j in zero_cols:
+        for i in range(m):
+            cand = np.zeros(m)
+            cand[i] = 1.0
+            for jj in range(u.shape[1]):
+                col = u[:, jj]
+                if jj != j and col @ col > 0.5:
+                    cand -= (cand @ col) * col
+            nrm = np.linalg.norm(cand)
+            if nrm > 0.5:
+                u[:, j] = cand / nrm
+                break
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            u[:, j] = -col
+            v[:, j] = -v[:, j]
+    if exponent:
+        sigma = np.ldexp(sigma, -exponent)
+    return (v, sigma, u) if flipped else (u, sigma, v)
+
+
+def adapted_by_primitives(x, w, a, s, b, alpha=1.0):
+    """The matmul/scale/add composition that `tensor.adapted_linear` replaces."""
+    main = matmul(x, w)
+    h = matmul(x, a)
+    if s is not None:
+        h = matmul(h, s)
+    path = matmul(h, b)
+    if alpha != 1.0:
+        path = scale(path, alpha)
+    return add(main, path)
 
 
 def fd_grad(f, arr, h=1e-5):

@@ -9,6 +9,8 @@ import pytest
 
 from lamda import accounting, cli, container
 from lamda.errors import NumericalError
+from lamda.model import ToyTransformer, ToyTransformerConfig
+from lamda.train import train
 
 
 def run_cli(*argv):
@@ -401,6 +403,64 @@ class TestFinetuneReport:
         err = capsys.readouterr().err
         assert str(run / "metrics.csv") in err and f"step {step} " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, drop, named", [
+        pytest.param({"layers": 2}, None, "'L1.q'", id="too-few-layers"),
+        pytest.param({"d_model": 32}, None, "'tok_emb' has shape (11, 16)", id="other-width"),
+        pytest.param({}, "L0.ln1.g", "'L0.ln1.g'", id="missing-tensor"),
+    ])
+    def test_backbone_that_does_not_fit_the_model_is_usage_error(
+            self, tmp_path, capsys, monkeypatch, overrides, drop, named):
+        model = json.loads(_run_config(tmp_path).read_text())["model"]
+        weights = ToyTransformer(ToyTransformerConfig(**model)).weights()
+        weights.pop(drop, None)
+        backbone = tmp_path / "pre.ldwt"
+        container.write_weights(backbone, weights)
+        cfg = _run_config(tmp_path, model=dict(model, **overrides))
+        calls = []
+        monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
+                            lambda at, *args: calls.append(at.shape))
+        out = tmp_path / "o"
+        assert run_cli("finetune", "--config", str(cfg), "--backbone", str(backbone),
+                       "--out-dir", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("case", ["report-runs-a-file", "config-a-directory",
+                                      "backbone-a-directory", "count-json-a-directory",
+                                      "out-dir-a-file", "config-not-utf8", "corpus-not-utf8"])
+    def test_malformed_path_is_usage_error(self, tmp_path, capsys, monkeypatch, case):
+        a_file = tmp_path / "a-file"
+        a_file.write_text("kept")
+        a_dir = tmp_path / "a-dir"
+        a_dir.mkdir()
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("caf\xe9 ".encode("latin-1") * 8)
+        cfg = str(_run_config(tmp_path))
+        out = str(tmp_path / "o")
+        argv = {
+            "report-runs-a-file": ["report", "--runs", str(a_file), "--out", out],
+            "config-a-directory": ["finetune", "--config", str(a_dir), "--out-dir", out],
+            "backbone-a-directory": ["finetune", "--config", cfg, "--backbone", str(a_dir),
+                                     "--out-dir", out],
+            "count-json-a-directory": ["count", "--model-preset", "llama2-7b", "--method",
+                                       "lora", "--json", str(a_dir)],
+            "out-dir-a-file": ["finetune", "--config", cfg, "--out-dir", str(a_file)],
+            "config-not-utf8": ["finetune", "--config", str(latin1), "--out-dir", out],
+            "corpus-not-utf8": ["finetune", "--config",
+                                str(_run_config(tmp_path, task=f"text:{latin1}")),
+                                "--out-dir", out],
+        }[case]
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kw: trained.append(1) or train(
+            *args, **kw))
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        # Only the corpus is read inside train(), where the task is made first.
+        assert len(trained) == (case == "corpus-not-utf8")
+        assert a_file.read_text() == "kept" and os.listdir(a_dir) == []
+        assert not os.path.exists(out)
 
     def test_metrics_csv_write_is_atomic(self, tmp_path):
         path = tmp_path / "metrics.csv"

@@ -154,6 +154,53 @@ class TestSvdMany:
             svd_many({"L0.q": _random((6, 6), 17)}, max_sweeps=0)
 
 
+def _zero_columns(w, cols):
+    w = w.copy()
+    w[:, cols] = 0.0
+    return w
+
+
+def _tiny_leading_rows(w):
+    w = w.copy()
+    w[0] *= 1e-14
+    w[1] = 0.0
+    return w
+
+
+class TestPostProcessing:
+    """`_factors` without column loops gives the bits of the loops it replaced
+    (`oracles.svd_factors_loop_ref`)."""
+
+    INPUTS = {
+        "random": _random((10, 6), 21),
+        # Exactly zero sigma, so the zero-direction completion runs twice.
+        "rank-deficient": _zero_columns(_random((8, 6), 22), [1, 4]),
+        # The first entries of u are below 1e-12, so a later one sets the sign.
+        "tiny-leading-entries": _tiny_leading_rows(_random((10, 6), 23)),
+        "wide": _random((5, 9), 24),  # svd swaps u and v
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", list(INPUTS))
+    def test_equals_the_column_loops_bitwise(self, monkeypatch, kind, dtype):
+        svd_module = sys.modules["lamda.svd"]  # `lamda.svd` names the function
+        factors, operands = svd_module._factors, []
+
+        def recorded(key, at, vt, flipped, exponent):
+            operands.append((at.copy(), vt.copy(), flipped, exponent))
+            return factors(key, at, vt, flipped, exponent)
+
+        monkeypatch.setattr(svd_module, "_factors", recorded)
+        dec = svd(self.INPUTS[kind].astype(dtype))
+        want = oracles.svd_factors_loop_ref(*operands[0])
+        for name, ref in zip(("u", "sigma", "v"), want):
+            assert getattr(dec, name).tobytes() == ref.tobytes(), name
+        # Each kind reaches the branch it is here for.
+        assert (dec.sigma[-2:] == 0.0).all() == (kind == "rank-deficient")
+        assert (np.abs(dec.u[:2]) <= 1e-12).all() == (kind == "tiny-leading-entries")
+        assert operands[0][2] == (kind == "wide")
+
+
 class TestSplits:
     def test_partition_identity(self):
         w = _random((16, 10), 19)

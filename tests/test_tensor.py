@@ -194,18 +194,6 @@ class TestAttention:
             attention(a, a, a, 4, 2, _causal_mask(3))
 
 
-def _adapted_by_primitives(x, w, a, s, b, alpha=1.0):
-    """The matmul/scale/add composition that adapted_linear replaces."""
-    main = matmul(x, w)
-    h = matmul(x, a)
-    if s is not None:
-        h = matmul(h, s)
-    path = matmul(h, b)
-    if alpha != 1.0:
-        path = scale(path, alpha)
-    return add(main, path)
-
-
 # (x, a, s, b) trainable flags and alpha; s=None is the LoRA form.
 _ADAPTED_CASES = {
     "lamda": ((True, False, True, True), 1.0),
@@ -235,7 +223,7 @@ class TestAdaptedLinear:
         w = rng.normal(size=(d_in, d_out))
         c = Tensor(rng.normal(size=(bn, d_out + d_in)))
         results = []
-        for op in (adapted_linear, _adapted_by_primitives):
+        for op in (adapted_linear, oracles.adapted_by_primitives):
             x, a, s, b = (None if live is None else Tensor(arr, requires_grad=live)
                           for arr, live in zip(arrs, flags))
             with Tape() as tape:

@@ -313,6 +313,22 @@ class TestResolveRanks:
             build_run(TrainRunConfig(model=SMALL, **bad))
         assert calls == []
 
+    @pytest.mark.parametrize("task, context", [
+        pytest.param("bogus", 8, id="unknown-task"),
+        pytest.param("text:missing.txt", 8, id="missing-corpus"),
+        pytest.param("copy", 7, id="odd-context"),
+    ])
+    def test_bad_task_fails_before_any_svd(self, monkeypatch, tmp_path, task, context):
+        """train() makes the task before build_run decomposes any weight."""
+        calls = []
+        monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
+                            lambda at, *args: calls.append(at.shape))
+        task = task.replace("missing.txt", str(tmp_path / "missing.txt"))
+        model = ToyTransformerConfig(**dict(vars(SMALL), context=context))
+        with pytest.raises((ConfigError, FileNotFoundError)):
+            train(TrainRunConfig(task=task, model=model))
+        assert calls == []
+
 
 class TestTraining:
     def test_build_run_freezes_backbone(self):
