@@ -133,8 +133,8 @@ def step_cost_table(repeats, rounds):
         for opt in opts:
             for name, slot in template.slots.items():
                 live = 0 if frozen_b and name.endswith(".b") else slot["live"]
-                opt.add_param(name, Tensor(slot["tensor"].data.copy(), requires_grad=True),
-                              live_rows=live)
+                opt.add_param(name, Tensor(slot["tensor"].data.copy(), requires_grad=True))
+                opt.set_live_rows(name, live)
         grads = {name: rng.normal(size=slot["tensor"].data.shape).astype(np.float32)
                  for name, slot in template.slots.items()
                  if not (frozen_b and name.endswith(".b"))}

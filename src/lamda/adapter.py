@@ -31,7 +31,7 @@ class AdapterConfig:
     alpha: float = 1.0  # 1.0 keeps spectral init an exact reconstruction
     init_mode: str = "spectral_top"
 
-    def validate(self):
+    def __post_init__(self):
         _svd.check_rank(self.rank, self.shape)
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}")
@@ -95,7 +95,6 @@ def build_adapter(w, cfg, seed=0, dec=None):
     `dec`, if given, is `svd(w)` already computed; spectral init then uses it
     instead of decomposing `w` again.
     """
-    cfg.validate()
     w = np.asarray(w)
     if w.shape != tuple(cfg.shape):
         raise ConfigError(f"weight shape {w.shape} != configured {cfg.shape}")

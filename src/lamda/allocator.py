@@ -5,8 +5,9 @@ Each linear module gets a candidacy score
 from the spectrum of its *pre-trained* weight, where E_r is the energy
 (sum of squared singular values) of the top r components. Modules are
 sorted by ascending nu; the first 1/S quantile receives the largest
-candidate rank, the next quantile the second largest, and so on, so the
-mean assigned rank equals the target.
+candidate rank, the next quantile the second largest, and so on. The mean
+assigned rank equals the target only when S divides the module count:
+10 modules with ranks (4, 8, 12) and target 8 get 7.6 (8.4 reversed).
 """
 
 import re

@@ -128,8 +128,12 @@ def _write_metrics_csv(path, metrics):
 
 
 def cmd_finetune(args):
-    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
-        raise ConfigError(f"--out-dir {args.out_dir} exists and is not a directory")
+    # An --out-dir below a file is refused now, not after training.
+    existing = os.path.abspath(args.out_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out-dir {args.out_dir}: {existing} exists and is not a directory")
     cfg = load_run_config(args.config)
     backbone = container.read_weights(args.backbone) if args.backbone else None
     result = train(cfg, backbone_weights=backbone)

@@ -56,9 +56,7 @@ def run_config_from_dict(doc, where="run config"):
     # Imported here: train imports accounting, which imports this module.
     from .train import TrainRunConfig
 
-    cfg = from_json(TrainRunConfig, doc, where)
-    cfg.validate()
-    return cfg
+    return from_json(TrainRunConfig, doc, where)
 
 
 def read_json(path, required=()):

@@ -45,7 +45,7 @@ class TrainRunConfig:
     adapted_kinds: tuple[str, ...] = ("q", "k", "v", "ffn1", "ffn2")
     model: ToyTransformerConfig = field(default_factory=ToyTransformerConfig)
 
-    def validate(self):
+    def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         for kind in self.adapted_kinds:
@@ -93,8 +93,7 @@ class TrainRunConfig:
 
 class Adam:
     """Adam with row masking: only rows < live receive updates and keep
-    moment buffers, so frozen rows stay bitwise untouched. A parameter
-    added without `live_rows` has every row live.
+    moment buffers, so frozen rows stay bitwise untouched.
 
     Slots of one shape and dtype form a group: their data and moments
     become views of one stacked buffer each, and a step updates the live
@@ -110,10 +109,10 @@ class Adam:
         self.slots = {}
         self._groups = None  # (names, slots, data, m, v) per shape; built by step()
 
-    def add_param(self, name, tensor, live_rows=None):
+    def add_param(self, name, tensor):
         self.slots[name] = {
             "tensor": tensor,
-            "live": tensor.data.shape[0] if live_rows is None else live_rows,
+            "live": tensor.data.shape[0],
             "m": np.zeros_like(tensor.data),
             "v": np.zeros_like(tensor.data),
         }
@@ -231,7 +230,6 @@ def build_run(cfg, backbone_weights=None):
     schedule leaves live at step 0. Optimizer slots follow sorted module
     order, which is the checkpoint order.
     """
-    cfg.validate()
     model = ToyTransformer(cfg.model, weights=backbone_weights, seed=cfg.seed)
     opt = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     schedules = {}
@@ -313,8 +311,7 @@ def train(cfg, backbone_weights=None, metrics_hook=None):
     retained floats are counted, before the optimizer update, so one step's
     graph at most is alive at a time.
     """
-    cfg.validate()
-    # A bad config, then a bad task, fails before any SVD; the task's RNG is its own.
+    # A bad task fails before any SVD; the task's RNG is its own.
     task = make_task(cfg.task, cfg.model.vocab, cfg.model.context, seed=cfg.seed + 1)
     model, opt, schedules = build_run(cfg, backbone_weights)
     metrics = []

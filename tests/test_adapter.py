@@ -91,13 +91,13 @@ class TestTrainability:
 class TestValidation:
     def test_rank_bounds(self):
         with pytest.raises(ConfigError):
-            AdapterConfig(rank=0, shape=(4, 4)).validate()
+            AdapterConfig(rank=0, shape=(4, 4))
         with pytest.raises(ConfigError):
-            AdapterConfig(rank=5, shape=(4, 8)).validate()
+            AdapterConfig(rank=5, shape=(4, 8))
 
     def test_bad_modes(self):
         with pytest.raises(ConfigError, match="init_mode"):
-            AdapterConfig(rank=1, shape=(4, 4), init_mode="random").validate()
+            AdapterConfig(rank=1, shape=(4, 4), init_mode="random")
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError, match="shape"):

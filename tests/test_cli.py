@@ -428,7 +428,8 @@ class TestFinetuneReport:
 
     @pytest.mark.parametrize("case", ["report-runs-a-file", "config-a-directory",
                                       "backbone-a-directory", "count-json-a-directory",
-                                      "out-dir-a-file", "config-not-utf8", "corpus-not-utf8"])
+                                      "out-dir-a-file", "out-dir-below-a-file",
+                                      "config-not-utf8", "corpus-not-utf8"])
     def test_malformed_path_is_usage_error(self, tmp_path, capsys, monkeypatch, case):
         a_file = tmp_path / "a-file"
         a_file.write_text("kept")
@@ -446,6 +447,8 @@ class TestFinetuneReport:
             "count-json-a-directory": ["count", "--model-preset", "llama2-7b", "--method",
                                        "lora", "--json", str(a_dir)],
             "out-dir-a-file": ["finetune", "--config", cfg, "--out-dir", str(a_file)],
+            "out-dir-below-a-file": ["finetune", "--config", cfg, "--out-dir",
+                                     str(a_file / "sub")],
             "config-not-utf8": ["finetune", "--config", str(latin1), "--out-dir", out],
             "corpus-not-utf8": ["finetune", "--config",
                                 str(_run_config(tmp_path, task=f"text:{latin1}")),

@@ -84,7 +84,7 @@ class TestAdam:
     def test_row_masking_leaves_frozen_rows_untouched(self, f64):
         t = Tensor(np.ones((4, 3)), requires_grad=True)
         opt = Adam(lr=0.5)
-        opt.add_param("b", t, live_rows=4)
+        opt.add_param("b", t)
         opt.set_live_rows("b", 2)
         t.grad = np.ones((4, 3))
         opt.step()
@@ -94,7 +94,7 @@ class TestAdam:
     def test_zero_live_rows_disables_param(self):
         t = Tensor(np.ones((4, 3)), requires_grad=True)
         opt = Adam(lr=0.5)
-        opt.add_param("b", t, live_rows=4)
+        opt.add_param("b", t)
         opt.set_live_rows("b", 0)
         assert not t.requires_grad
         t.grad = np.ones((4, 3))
@@ -141,7 +141,8 @@ class TestAdam:
             opt = cls(lr=0.1)
             ts = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(3)]
             opt.add_param("p0", ts[0])
-            opt.add_param("p1", ts[1], live_rows=2)
+            opt.add_param("p1", ts[1])
+            opt.set_live_rows("p1", 2)
             for step in range(4):
                 if step == 2:
                     opt.add_param("p2", ts[2])
@@ -165,7 +166,8 @@ class TestAdam:
             opt = cls(lr=0.1)
             ts = [Tensor(np.ones((4, 3)), requires_grad=True) for _ in range(5)]
             for i, (t, live) in enumerate(zip(ts, (4, 2, 2, 0, 3))):
-                opt.add_param(f"b{i}", t, live_rows=live)
+                opt.add_param(f"b{i}", t)
+                opt.set_live_rows(f"b{i}", live)
             for _ in range(3):
                 for t in ts[:4]:  # b4 has live rows but no gradient
                     t.grad = rng.normal(size=(4, 3)).astype(t.data.dtype)
@@ -191,7 +193,8 @@ class TestAdam:
     def test_live_scalars(self):
         opt = Adam(lr=0.1)
         opt.add_param("s", Tensor(np.ones((3, 3)), requires_grad=True))
-        opt.add_param("b", Tensor(np.ones((4, 5)), requires_grad=True), live_rows=2)
+        opt.add_param("b", Tensor(np.ones((4, 5)), requires_grad=True))
+        opt.set_live_rows("b", 2)
         assert opt.live_scalars() == 9 + 2 * 5
 
 
@@ -206,14 +209,28 @@ def _assert_same_checkpoint(got, want):
 
 class TestConfig:
     def test_method_validation(self):
-        cfg = TrainRunConfig(method="prefix", model=SMALL)
         with pytest.raises(ConfigError):
-            cfg.validate()
+            TrainRunConfig(method="prefix", model=SMALL)
 
     def test_lamdapp_needs_budget(self):
-        cfg = TrainRunConfig(method="lamda++", model=SMALL)
         with pytest.raises(ConfigError, match="budget"):
-            cfg.validate()
+            TrainRunConfig(method="lamda++", model=SMALL)
+
+    @pytest.mark.parametrize("bad", [
+        dict(method="prefix"),
+        dict(seed=-1),
+        dict(batch_size=0),
+        dict(lr=-1.0),
+        dict(beta1=1.0),
+        dict(ti_fraction=1.5),
+        dict(init_mode="bogus"),
+        dict(method="lamda", rank_plan={"L0.q": 4}),
+        dict(method="lamda++"),
+    ], ids=["method", "seed", "batch_size", "lr", "beta1", "ti_fraction", "init_mode",
+            "rank_plan-under-lamda", "lamda++-without-budget"])
+    def test_invalid_config_fails_at_construction(self, bad):
+        with pytest.raises(ConfigError):
+            TrainRunConfig(model=SMALL, **bad)
 
     def test_digest_changes_with_config(self):
         a = TrainRunConfig(model=SMALL, seed=1).digest()
