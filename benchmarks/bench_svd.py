@@ -21,6 +21,12 @@ the kernel one at a time and stacked by shape, as `svd_many` does, and one
 and worst off-diagonals. Each row prints the kernel calls, the best wall
 time over the repeats (the two ways alternate), the time per operand and
 the tracemalloc peak of an untimed run, inputs excluded.
+
+A third table runs each toy shape's operand through the kernel with an
+identity `vt` (the full SVD) and with a zero-column `vt` (singular values
+only, as `lamda analyze` runs it). Both must give byte-equal `at`, sweep
+counts and worst off-diagonals. Each row prints the best wall time of each
+over the repeats (the two alternate) and each one's tracemalloc peak.
 """
 
 import argparse
@@ -175,6 +181,26 @@ def _stack_table(repeats):
     print(f"stacked: {best_one / best_stacked:.2f}x the one-at-a-time speed")
 
 
+def _values_only_row(label, shape, repeats):
+    at0 = _operands(np.random.default_rng(0).normal(size=shape))
+    full = (at0.copy(), np.eye(at0.shape[0]))
+    values = (at0.copy(), np.empty((at0.shape[0], 0)))
+    best = {"full": float("inf"), "values": float("inf")}
+    for _ in range(repeats):
+        outs = {}
+        for name, (a, v) in (("full", full), ("values", values)):
+            at, vt = a.copy(), v.copy()
+            start = time.perf_counter()
+            sweeps, worst, converged = kernels.jacobi_sweeps(at, vt, 1e-12, 60)
+            best[name] = min(best[name], time.perf_counter() - start)
+            assert converged
+            outs[name] = (at.tobytes(), sweeps, np.float64(worst).tobytes())
+        assert outs["values"] == outs["full"], f"{label}: values-only and full kernels differ"
+    peaks = [_peak_kb(kernels.jacobi_sweeps, [(a.copy(), v.copy())]) for a, v in (full, values)]
+    print(f"{label:>12} {outs['full'][1]:>6} {best['full']:>9.4f} {best['values']:>11.4f} "
+          f"{best['full'] / best['values']:>8.2f}x {peaks[0]:>8.0f} {peaks[1]:>10.0f}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="32,64,128,256",
@@ -190,6 +216,11 @@ def main():
         _row(label, shape, args.repeats)
     print()
     _stack_table(args.repeats)
+    print()
+    print(f"{'matrix':>12} {'sweeps':>6} {'full (s)':>9} {'values (s)':>11} {'speed-up':>9} "
+          f"{'full KB':>8} {'values KB':>10}")
+    for r, c in TOY_SHAPES:
+        _values_only_row(f"toy {r}x{c}", (r, c), args.repeats)
 
 
 if __name__ == "__main__":

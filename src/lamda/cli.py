@@ -68,7 +68,7 @@ def cmd_analyze(args):
     for name in names:
         if min(matrices[name].shape) > 0:
             check_rank(budget.ranks[-1], matrices[name].shape, name)
-    sigmas = {n: svd(matrices[n]).sigma for n in names}
+    sigmas = {n: svd(matrices[n], compute_uv=False).sigma for n in names}
 
     scores = [allocator.score_from_sigma(n, sigmas[n], budget) for n in names]
     _write_json(args.scores_out, {"modules": [asdict(m) for m in scores]})

@@ -32,6 +32,12 @@ value, convergence test and stop. A problem's pairs meet the same rows and
 the same arithmetic as in its own call, so its results are bit for bit the
 same; one problem is the case B = 1.
 
+The rotations' decisions read only the `at` part of each row, so `vt` may
+have zero columns: the kernel then computes singular values only (LAPACK's
+`DGESVJ` with JOBV='N'), with every bit of `at` and of the results as in
+the full run and about half the rotation work of a square problem. A wave
+gathers its rows as copies, rotates them in place and scatters them back.
+
 The loop tests convergence after each sweep, so the head of the next sweep
 runs speculatively. It is a no-op whenever the converged sweep rotated
 nothing. A converged sweep can still rotate pairs whose relative
@@ -94,7 +100,8 @@ def _wave(work, m, tol, ip, iq, k, out):
     problem, the worst relative off-diagonal of the older and of the newer
     pairs and whether any newer pair rotated into out = (old, new, head).
     """
-    rp, rq = work[ip], work[iq]
+    # Gathered copies; `take` costs under half of work[ip] on a wave's rows.
+    rp, rq = work.take(ip, axis=0), work.take(iq, axis=0)
     ap, aq = rp[..., :m], rq[..., :m]
     app, aqq, apq = _dots(ap, ap), _dots(aq, aq), _dots(ap, aq)
     denom = np.sqrt(app * aqq)
@@ -121,8 +128,16 @@ def _wave(work, m, tol, ip, iq, k, out):
     c = 1.0 / np.sqrt(1.0 + t * t)
     s = (c * t)[..., None]
     c = c[..., None]
-    work[ip] = c * rp - s * rq
-    work[iq] = s * rp + c * rq
+    # The new q rows are made in the gathered copies: the same products and
+    # sums, in the same operand order, as c * rp - s * rq and
+    # s * rp + c * rq, with two temporaries for six.
+    new_p = c * rp
+    new_p -= s * rq
+    np.multiply(s, rp, out=rp)
+    np.multiply(c, rq, out=rq)
+    rp += rq
+    work[ip] = new_p
+    work[iq] = rp
 
 
 def _sliced_wave(work, m, tol, ip, iq, k, out, slice_pairs):
@@ -231,12 +246,14 @@ def jacobi_sweeps(at, vt, tol, max_sweeps):
     columns), `vt` the n x n transpose of the accumulated rotation
     product, both float64. Returns (sweeps_used,
     worst_rel_offdiag_seen_last_sweep, converged). A pair (p, q) counts as
-    converged when |<a_p, a_q>| / (|a_p| * |a_q|) <= tol.
+    converged when |<a_p, a_q>| / (|a_p| * |a_q|) <= tol. A `vt` with zero
+    columns (n x 0) accumulates nothing: values only, with `at` and the
+    results bit for bit those of an n x n `vt`.
 
-    `at` may also be a (B, n, m) stack with `vt` (B, n, n): B independent
-    problems of one shape, swept together. The result is then three arrays
-    of length B, and every problem's factors and results are bit for bit
-    those of its own 2-D call.
+    `at` may also be a (B, n, m) stack with `vt` (B, n, n) or (B, n, 0):
+    B independent problems of one shape, swept together. The result is
+    then three arrays of length B, and every problem's factors and results
+    are bit for bit those of its own 2-D call.
     """
     stacked = at.ndim == 3
     a3, v3 = (at, vt) if stacked else (at[None], vt[None])
@@ -244,7 +261,7 @@ def jacobi_sweeps(at, vt, tol, max_sweeps):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # One gather and one rotation per wave: each problem's n rows of
         # [at | vt] follow the previous problem's.
-        work = np.concatenate([a3, v3], axis=2).reshape(count * n, m + n)
+        work = np.concatenate([a3, v3], axis=2).reshape(count * n, m + v3.shape[2])
         sweeps, worst, converged, clean = _sweeps(work, n, m, tol, max_sweeps, np.arange(count))
         for b in np.flatnonzero(~clean):  # undo its next sweep's speculative head:
             rows = slice(b * n, (b + 1) * n)  # rerun, stopping at the converged sweep
@@ -252,7 +269,7 @@ def jacobi_sweeps(at, vt, tol, max_sweeps):
             rerun = _sweeps(work, n, m, tol, int(sweeps[b]), [b])
             sweeps[b], worst[b], converged[b] = (x[0] for x in rerun[:3])
     a3[...] = work[:, :m].reshape(count, n, m)
-    v3[...] = work[:, m:].reshape(count, n, n)
+    v3[...] = work[:, m:].reshape(v3.shape)
     if stacked:
         return sweeps, worst, converged
     return int(sweeps[0]), float(worst[0]), bool(converged[0])

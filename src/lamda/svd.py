@@ -19,11 +19,14 @@ _SAFE_EXP = 255  # the kernel's range for a matrix's largest entry (see `_operan
 
 @dataclass
 class SpectralDecomposition:
-    """W = u @ diag(sigma) @ v.T with orthonormal columns and sigma descending."""
+    """W = u @ diag(sigma) @ v.T with orthonormal columns and sigma descending.
 
-    u: np.ndarray  # d_in x k
+    A values-only decomposition (`compute_uv=False`) has u and v None.
+    """
+
+    u: np.ndarray | None  # d_in x k
     sigma: np.ndarray  # k, non-negative, descending
-    v: np.ndarray  # d_out x k
+    v: np.ndarray | None  # d_out x k
 
     @property
     def k(self):
@@ -42,16 +45,19 @@ class SpectrumSplit:
     w_res: np.ndarray  # d_in x d_out
 
 
-def svd(w, max_sweeps=MAX_SWEEPS):
+def svd(w, max_sweeps=MAX_SWEEPS, compute_uv=True):
     """Jacobi SVD of a d_in x d_out matrix; k = min(d_in, d_out) >= 1.
 
     The sweep runs on the side with fewer columns so the rotation count
-    stays k*(k-1)/2 per sweep. This is the one-matrix case of `svd_many`.
+    stays k*(k-1)/2 per sweep. With compute_uv False (numpy's name) the
+    kernel accumulates no rotations and the result holds only sigma, bit
+    for bit that of the full decomposition. This is the one-matrix case of
+    `svd_many`.
     """
-    return svd_many({"matrix": w}, max_sweeps)["matrix"]
+    return svd_many({"matrix": w}, max_sweeps, compute_uv)["matrix"]
 
 
-def svd_many(weights, max_sweeps=MAX_SWEEPS):
+def svd_many(weights, max_sweeps=MAX_SWEEPS, compute_uv=True):
     """`svd` of every matrix of a {key: matrix} map, as {key: decomposition}.
 
     Every matrix is checked before any is decomposed. Matrices whose kernel
@@ -69,7 +75,8 @@ def svd_many(weights, max_sweeps=MAX_SWEEPS):
         at = np.empty((len(keys), k, m))
         for b, key in enumerate(keys):
             at[b] = operands[key][0].T  # rows are working columns
-        vt = np.broadcast_to(np.eye(k), at.shape[:1] + (k, k)).copy()
+        vt = (np.broadcast_to(np.eye(k), at.shape[:1] + (k, k)).copy() if compute_uv
+              else np.empty(at.shape[:1] + (k, 0)))
         _, worst, converged = jacobi_sweeps(at, vt, DEFAULT_TOL, max_sweeps)
         for b, key in enumerate(keys):
             if not converged[b]:
@@ -77,7 +84,11 @@ def svd_many(weights, max_sweeps=MAX_SWEEPS):
                     f"jacobi svd of {key!r} did not converge in {max_sweeps} sweeps "
                     f"(relative off-diagonal {worst[b]:.3e})"
                 )
-            decs[key] = _factors(key, at[b], vt[b], *operands[key][1:])
+            if compute_uv:
+                decs[key] = _factors(key, at[b], vt[b], *operands[key][1:])
+            else:
+                sigma = _sigma(key, at[b], operands[key][2])[0]
+                decs[key] = SpectralDecomposition(u=None, sigma=sigma, v=None)
     return {key: decs[key] for key in weights}
 
 
@@ -112,27 +123,36 @@ def _operand(key, w):
     return (w.T if flipped else w), flipped, exponent
 
 
+def _sigma(key, at, exponent):
+    """(sigma, order, norms, live) from the kernel's orthogonalized rows `at`:
+    order sorts the rows by descending norm, norms are the sorted row norms
+    with all but the `live` leading ones cut to 0, and sigma is norms with
+    the input's power-of-two scale undone."""
+    norms = np.sqrt(np.einsum("ij,ij->i", at, at))
+    order = np.argsort(-norms, kind="stable")
+    norms = norms[order]
+    live = int(np.count_nonzero(norms > max(norms[0], 1.0) * 1e-300))  # norms descend: they lead
+    norms[live:] = 0.0
+    sigma = norms
+    if exponent:
+        with np.errstate(over="ignore"):
+            sigma = np.ldexp(norms, -exponent)
+        if np.isinf(sigma[0]):
+            raise NumericalError(f"svd of {key!r}: the largest singular value overflows float64")
+    return sigma, order, norms, live
+
+
 def _factors(key, at, vt, flipped, exponent):
     """The decomposition from the kernel's orthogonalized rows `at` and
     rotations `vt`."""
-    sigma = np.sqrt(np.einsum("ij,ij->i", at, at))
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
+    sigma, order, norms, live = _sigma(key, at, exponent)
     u = at[order].T.copy()  # m x k, columns still scaled by sigma
     v = vt[order].T.copy()
-
-    live = int(np.count_nonzero(sigma > max(sigma[0], 1.0) * 1e-300))  # sigma descends: they lead
-    u[:, :live] /= sigma[:live]
-    sigma[live:] = 0.0
+    u[:, :live] /= norms[:live]
     u[:, live:] = 0.0
     _complete_columns(u, live)
 
     _fix_signs(u, v)
-    if exponent:
-        with np.errstate(over="ignore"):
-            sigma = np.ldexp(sigma, -exponent)
-        if np.isinf(sigma[0]):
-            raise NumericalError(f"svd of {key!r}: the largest singular value overflows float64")
     if flipped:
         u, v = v, u
     return SpectralDecomposition(u=u, sigma=sigma, v=v)

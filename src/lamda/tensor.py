@@ -330,7 +330,9 @@ def gelu(a):
     IEEE operation of the plain formula on the same two operands (a + b
     and a * b commute exactly), so the bits are the formula's, with fewer
     temporaries. A recorded node computes its slope d gelu / dx during the
-    forward, so it keeps that one array rather than x and the tanh.
+    forward, so it keeps that one array rather than x and the tanh. The
+    slope's parts reuse the tanh's and 1 + t's buffers, so a recorded call
+    holds at most four arrays of x's size besides x.
     """
     x = a.data
     c, k = _dtype(_GELU_C), _dtype(_GELU_A)
@@ -340,21 +342,27 @@ def gelu(a):
     t += x
     t *= c
     np.tanh(t, out=t)
-    out_data = _dtype(0.5) * x
-    out_data *= 1 + t
+    h = _dtype(0.5) * x
+    u = 1 + t
     sa = _sink(a)
-    slope = None
+    tail = None
     if sa.requires_grad and _active_tape is not None:
-        # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * (c * (1 + 3 * k * x * x))
+        # slope = 0.5 * (1 + t) + tail, made in u's buffer once the output
+        # has read u; tail = 0.5 * x * (1 - t * t) * (c * (1 + 3 * k * x * x)),
+        # made in t's buffer.
         dinner = (3 * k) * x
         dinner *= x
         dinner += 1
         dinner *= c
-        tail = t * t
+        tail = np.multiply(t, t, out=t)
         np.subtract(1, tail, out=tail)
-        tail *= 0.5 * x
+        tail *= h
         tail *= dinner
-        slope = 1 + t
+    out_data = h  # h's last reader is the tail above
+    out_data *= u
+    slope = None
+    if tail is not None:
+        slope = u
         slope *= 0.5
         slope += tail
 

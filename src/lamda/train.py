@@ -258,8 +258,9 @@ def build_run(cfg, backbone_weights=None):
         check_rank(budget.ranks[-1] if budget else ranks[m], w.shape, m)
     decompositions = {}
     if cfg.method != "lora" and (budget or cfg.init_mode != "kaiming"):
-        # Spectral init and budget scoring share one SVD per weight.
-        decompositions = svd_many(weights)
+        # Spectral init and budget scoring share one SVD per weight; scoring
+        # alone reads only sigma.
+        decompositions = svd_many(weights, compute_uv=cfg.init_mode != "kaiming")
     if budget:
         scores = _alloc.score_modules(weights, budget, decompositions)
         ranks = _alloc.allocate(scores, budget, reverse=cfg.reverse_allocation).ranks

@@ -68,6 +68,28 @@ class TestAnalyzePlan:
         assert code == 2
         assert "L9.zz" in capsys.readouterr().err
 
+    def test_decomposes_singular_values_only(self, tmp_path, monkeypatch, weights_file):
+        """analyze reads only sigma: one kernel call per matrix, each with a
+        zero-column vt, and the outputs of full decompositions, byte for byte."""
+        kernel, vt_shapes = sys.modules["lamda.svd"].jacobi_sweeps, []
+
+        def spied(at, vt, *args):
+            vt_shapes.append(vt.shape)
+            return kernel(at, vt, *args)
+
+        monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps", spied)
+        outputs = []
+        for run in ("values-only", "full"):
+            scores, energy = tmp_path / f"{run}.json", tmp_path / f"{run}.csv"
+            assert run_cli("analyze", "--weights", str(weights_file), "--ranks", "2,4,6",
+                           "--target", "4", "--scores-out", str(scores),
+                           "--energy-csv", str(energy)) == 0
+            outputs.append((scores.read_bytes(), energy.read_bytes()))
+            full_svd = cli.svd
+            monkeypatch.setattr(cli, "svd", lambda w, compute_uv: full_svd(w))
+        assert vt_shapes == [(1, 16, 0)] * 4 + [(1, 16, 16)] * 4
+        assert outputs[0] == outputs[1]
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert run_cli("analyze", "--weights", str(tmp_path / "nope.ldwt"),
                        "--ranks", "2,4,6", "--target", "4") == 2

@@ -355,3 +355,50 @@ def test_fuzz_stacks_bitwise_equal_cyclic_loop(rollbacks, monkeypatch, slice_byt
         assert _stacked_runs(ats, tol, max_sweeps) == _loop_runs(ats, tol, max_sweeps), (
             ats, tol, max_sweeps)
     assert rollbacks[0] > 0
+
+
+def _values_only_runs(ats, tol, max_sweeps):
+    """Per problem, (at, sweeps, worst, converged) bytes from one stacked call
+    with a zero-column vt."""
+    at = np.stack(ats)
+    vt = np.empty(at.shape[:2] + (0,))
+    with np.errstate(all="ignore"):
+        sweeps, worst, converged = kernels.jacobi_sweeps(at, vt, tol, max_sweeps)
+    return [(_sha256(at[b]), int(sweeps[b]), np.float64(worst[b]).tobytes(), bool(converged[b]))
+            for b in range(len(ats))]
+
+
+def _without_vt(runs):
+    return [run[:1] + run[2:] for run in runs]
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_values_only_bitwise_equals_full_run_and_cyclic_loop(case, rollbacks):
+    """A 2-D call with an n x 0 vt leaves at, and returns the sweeps, worst
+    off-diagonal and convergence flag, of the identity-vt run and of the
+    scalar loop, bit for bit; the NaN cases rerun their speculative head."""
+    at0, max_sweeps = _ORACLE_CASES[case]
+    want = _without_vt(_both_kernels(at0, 1e-12, max_sweeps))
+    rollbacks[0] = 0
+    at, vt = at0.copy(), np.empty((at0.shape[0], 0))
+    with np.errstate(all="ignore"):
+        sweeps, worst, converged = kernels.jacobi_sweeps(at, vt, 1e-12, max_sweeps)
+    got = (_sha256(at), sweeps, np.float64(worst).tobytes(), bool(converged))
+    assert [got, got] == want
+    assert rollbacks[0] == (case in ("nan-entry", "nan-rollback"))
+
+
+@pytest.mark.parametrize("case, slice_bytes", _STACK_PARAMS)
+def test_values_only_stack_bitwise_equals_full_run_and_cyclic_loop(case, slice_bytes,
+                                                                  rollbacks, monkeypatch):
+    """A (B, n, 0) vt leaves every problem's at and results as the
+    identity-vt stack and the scalar loop do, whether the waves run whole
+    or in slices, and the problem with a NaN reruns its speculative head."""
+    if slice_bytes is not None:
+        monkeypatch.setattr(kernels, "_SLICE_BYTES", slice_bytes)
+    ats, max_sweeps = _STACK_CASES[case]
+    full = _without_vt(_stacked_runs(ats, 1e-12, max_sweeps))
+    assert full == _without_vt(_loop_runs(ats, 1e-12, max_sweeps))
+    rollbacks[0] = 0
+    assert _values_only_runs(ats, 1e-12, max_sweeps) == full
+    assert rollbacks[0] == (case in ("nan-rollback-in-stack", "rows-of-length-1"))

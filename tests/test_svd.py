@@ -201,6 +201,62 @@ class TestPostProcessing:
         assert operands[0][2] == (kind == "wide")
 
 
+class TestValuesOnly:
+    """`compute_uv=False` gives the full decomposition's sigma bit for bit,
+    without u and v, through `svd` and `svd_many`."""
+
+    INPUTS = {
+        "square": _random((7, 7), 51),
+        "tall": _random((12, 5), 52),
+        "wide": _random((5, 12), 53),  # svd sweeps its transpose
+        # Exactly zero sigma: fewer live values than k.
+        "rank-deficient": _zero_columns(_random((8, 6), 54), [1, 4]),
+        "row": _random((1, 6), 55),
+        "huge": _random((8, 6), 56) * 1e78,  # scaled by a power of two and back
+    }
+
+    @pytest.fixture
+    def vt_shapes(self, monkeypatch):
+        svd_module = sys.modules["lamda.svd"]  # `lamda.svd` names the function
+        kernel, shapes = svd_module.jacobi_sweeps, []
+
+        def spied(at, vt, *args):
+            shapes.append(vt.shape)
+            return kernel(at, vt, *args)
+
+        monkeypatch.setattr(svd_module, "jacobi_sweeps", spied)
+        return shapes
+
+    @pytest.mark.parametrize("kind", list(INPUTS))
+    def test_sigma_equals_the_full_decomposition_bitwise(self, kind, vt_shapes):
+        w = self.INPUTS[kind]
+        full, values = svd(w), svd(w, compute_uv=False)
+        assert values.u is None and values.v is None
+        assert values.sigma.tobytes() == full.sigma.tobytes()
+        k = min(w.shape)
+        assert vt_shapes == [(1, k, k), (1, k, 0)]
+        # Each kind reaches the branch it is here for.
+        _, flipped, exponent = sys.modules["lamda.svd"]._operand(kind, w)
+        assert (full.sigma[-2:] == 0.0).all() == (kind == "rank-deficient")
+        assert flipped == (kind in ("wide", "row"))
+        assert (exponent != 0) == (kind == "huge")
+
+    def test_svd_many_equals_svd_key_by_key_bitwise(self, vt_shapes):
+        many = svd_many(self.INPUTS, compute_uv=False)
+        assert list(many) == list(self.INPUTS)
+        assert all(shape[2] == 0 for shape in vt_shapes)
+        for key, w in self.INPUTS.items():
+            assert many[key].u is None and many[key].v is None
+            assert many[key].sigma.tobytes() == svd(w).sigma.tobytes(), key
+
+    def test_sigma_overflow_raises(self):
+        w = np.full((2, 2), 1e308)  # sigma 2e308
+        with pytest.raises(NumericalError, match="overflows"):
+            svd(w, compute_uv=False)
+        with pytest.raises(NumericalError, match="'w': the largest singular value overflows"):
+            svd_many({"ok": _random((2, 2), 57), "w": w}, compute_uv=False)
+
+
 class TestSplits:
     def test_partition_identity(self):
         w = _random((16, 10), 19)

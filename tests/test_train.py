@@ -312,6 +312,34 @@ class TestResolveRanks:
                 assert got.tensors()[name].data.tobytes() == t.data.tobytes(), (module, name)
 
 
+    def test_lamdapp_kaiming_scores_from_values_only(self, monkeypatch, tmp_path):
+        """With kaiming init only the budget scoring reads the SVDs, and it
+        reads sigma alone: the kernel gets zero-column vts, and the run's
+        metrics and checkpoint bytes are those of a run with full
+        decompositions."""
+        svd_module = sys.modules["lamda.svd"]  # `lamda.svd` names the function
+        kernel, vt_shapes = svd_module.jacobi_sweeps, []
+
+        def spied(at, vt, *args):
+            vt_shapes.append(vt.shape)
+            return kernel(at, vt, *args)
+
+        monkeypatch.setattr(svd_module, "jacobi_sweeps", spied)
+        cfg = TrainRunConfig(method="lamda++", init_mode="kaiming", budget_ranks=(2, 4, 6),
+                             budget_target=4, total_steps=6, batch_size=2, lr=5e-3, seed=5,
+                             model=SMALL)
+        checkpoints = []
+        for run in ("values-only", "full"):
+            result = train(cfg)
+            path = tmp_path / f"{run}.ldck"
+            container.save_checkpoint(path, *container.checkpoint_from_result(result))
+            checkpoints.append((result.metrics, path.read_bytes()))
+            monkeypatch.setattr("lamda.train.svd_many",
+                                lambda weights, compute_uv: svd_many(weights))
+        # q, k, v sweep 16 x 16 operands; ffn1 and ffn2 16 x 32 ones.
+        assert vt_shapes == [(3, 16, 0), (2, 16, 0), (3, 16, 16), (2, 16, 16)]
+        assert checkpoints[0] == checkpoints[1]
+
     @pytest.mark.parametrize("bad", [
         dict(method="lamda", rank=17),
         dict(method="lamda++", rank_plan={"L0.q": 4, "L0.k": 4, "L0.v": 17, "L0.ffn1": 4,
