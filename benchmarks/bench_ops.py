@@ -25,7 +25,9 @@ b 8) and of a wider one (d 256, ffn 1024, n 32, b 8), both with rank 8 on
 q, k, v, ffn1 and ffn2, for LoRA and LaMDA (kaiming init, so no SVD runs).
 Printed per form: the bytes the forward leaves allocated while the tape
 is alive and the step's peak, both from tracemalloc, next to the adapter
-activations `accounting.activation_footprint` says must be kept, and per
+activations the cost model says must be kept while every row trains (the
+`activation_floats` of `accounting.count_lora`, or of
+`accounting.count_lamda_effective` at t_i = 1), and per
 model the LoRA/LaMDA ratio of the fused forms' held bytes next to the
 paper's 1.32x peak-memory ratio (measured on full-size models, whose
 weights this toy does not have).
@@ -188,13 +190,14 @@ def _held_bytes(model_cfg, method, rank, forward):
     spec = accounting.ModelSpec(name="bench", layers=model_cfg.layers, d_model=model_cfg.d_model,
                                 ffn_dim=model_cfg.ffn_dim, adapted_kinds=cfg.adapted_kinds,
                                 seq_len=model_cfg.context, batch=cfg.batch_size)
-    floats = accounting.activation_footprint(spec, method, rank, include_trainable_up=True)
-    return held, peak, 4 * sum(floats.values())
+    report = (accounting.count_lora(spec, rank) if method == "lora"
+              else accounting.count_lamda_effective(spec, rank, 1.0))
+    return held, peak, 4 * sum(report.activation_floats.values())
 
 
 def memory_table():
     print(f"\n{'model':>8} {'method':>6} {'form':>9} {'held after forward (MB)':>24} "
-          f"{'step peak (MB)':>15} {'activation_footprint (MB)':>26}")
+          f"{'step peak (MB)':>15} {'activation_floats (MB)':>26}")
     for name, (model_cfg, rank) in MODELS.items():
         fused = {}
         for method in ("lora", "lamda"):

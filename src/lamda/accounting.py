@@ -22,14 +22,21 @@ KINDS = ("q", "k", "v", "o", "ffn1", "ffn2")
 
 
 def kind_shape(kind, d_model, ffn_dim):
-    """(d_in, d_out) of a module of `kind`: d x d in attention, d x f and f x d in the FFN."""
-    if kind == "ffn1":
-        return d_model, ffn_dim
-    if kind == "ffn2":
-        return ffn_dim, d_model
-    if kind in KINDS:
-        return d_model, d_model
-    raise ConfigError(f"unknown module kind {kind!r}")
+    """(d_in, d_out) of a module of a known `kind`: d x d in attention, d x f
+    and f x d in the FFN."""
+    return {"ffn1": (d_model, ffn_dim), "ffn2": (ffn_dim, d_model)}.get(kind, (d_model, d_model))
+
+
+def check_kinds(kinds):
+    """The one check of a spec's or a run's adapted kinds: at least one,
+    each in KINDS, none listed twice."""
+    if not kinds:
+        raise ConfigError("adapted_kinds must be non-empty")
+    for i, kind in enumerate(kinds):
+        if kind not in KINDS:
+            raise ConfigError(f"unknown adapted kind {kind!r}; expected one of {KINDS}")
+        if kind in kinds[:i]:
+            raise ConfigError(f"adapted kind {kind!r} is listed twice")
 
 
 @dataclass
@@ -44,11 +51,7 @@ class ModelSpec:
     bytes_per_scalar: int = 4
 
     def __post_init__(self):
-        if not self.adapted_kinds:
-            raise ConfigError("adapted_kinds must be non-empty")
-        for k in self.adapted_kinds:
-            if k not in KINDS:
-                raise ConfigError(f"unknown module kind {k!r}")
+        check_kinds(self.adapted_kinds)
         for v in (self.layers, self.d_model, self.ffn_dim, self.seq_len, self.batch):
             if v <= 0:
                 raise ConfigError("model spec dimensions must be positive")
@@ -97,14 +100,36 @@ class CostReport:
         return rows
 
 
-def _module_rank(ranks, module, d_in, d_out):
-    """`module`'s rank from one int or a {module id: rank} map, checked to
-    fit its d_in x d_out weight."""
-    if isinstance(ranks, dict):
-        if module not in ranks:
-            raise ConfigError(f"no rank assigned for module {module!r}")
-        ranks = ranks[module]
-    return check_rank(ranks, (d_in, d_out), module)
+def _ranked(spec, ranks):
+    """(module, d_in, d_out, r) for every adapted module of `spec`, in order:
+    the one walk over the modules. `ranks` is one int or a {module id: rank}
+    map; each rank is checked to fit its module's weight."""
+    for module, (d_in, d_out) in spec.modules():
+        r = ranks
+        if isinstance(ranks, dict):
+            if module not in ranks:
+                raise ConfigError(f"no rank assigned for module {module!r}")
+            r = ranks[module]
+        yield module, d_in, d_out, check_rank(r, (d_in, d_out), module)
+
+
+def _report(method, spec, ranks, activation_key, row):
+    """The CostReport summed, in module order, from one per-module table:
+    `row(d_in, d_out, r)` gives a module's trainable, effective and stored
+    activation counts, the last summed under `activation_key`."""
+    per_module = [{"module": module, **row(d_in, d_out, r)}
+                  for module, d_in, d_out, r in _ranked(spec, ranks)]
+    trainable = float(sum(m["trainable_params"] for m in per_module))
+    return CostReport(
+        method=method,
+        trainable_params=trainable,
+        effective_params=float(sum(m["effective_params"] for m in per_module)),
+        optimizer_state_bytes=optimizer_state_bytes(trainable, spec.bytes_per_scalar),
+        gradient_bytes=trainable * spec.bytes_per_scalar,
+        activation_floats={activation_key: float(sum(m["activation_floats"]
+                                                     for m in per_module))},
+        per_module=per_module,
+    )
 
 
 def count_lora(spec, rank):
@@ -112,27 +137,12 @@ def count_lora(spec, rank):
     closed form, the b*n*d_in-float input of every module. The engine keeps
     q, k and v's shared input once, plus each module's r-wide `x @ a`.
     """
-    per_module = []
-    total = 0
-    act = 0
-    for module, (d_in, d_out) in spec.modules():
-        p = (d_in + d_out) * _module_rank(rank, module, d_in, d_out)
-        a = spec.batch * spec.seq_len * d_in
-        per_module.append(
-            {"module": module, "trainable_params": p, "effective_params": p,
-             "activation_floats": a}
-        )
-        total += p
-        act += a
-    return CostReport(
-        method="lora",
-        trainable_params=float(total),
-        effective_params=float(total),
-        optimizer_state_bytes=optimizer_state_bytes(total, spec.bytes_per_scalar),
-        gradient_bytes=float(total) * spec.bytes_per_scalar,
-        activation_floats={"adapter_input": float(act)},
-        per_module=per_module,
-    )
+    def row(d_in, d_out, r):
+        p = (d_in + d_out) * r
+        return {"trainable_params": p, "effective_params": p,
+                "activation_floats": spec.batch * spec.seq_len * d_in}
+
+    return _report("lora", spec, rank, "adapter_input", row)
 
 
 def count_lamda_effective(spec, ranks, ti_fraction):
@@ -144,51 +154,33 @@ def count_lamda_effective(spec, ranks, ti_fraction):
     """
     if not 0.0 <= ti_fraction <= 1.0:
         raise ConfigError(f"ti_fraction {ti_fraction} outside [0, 1]")
-    per_module = []
-    steady = 0
-    effective = 0.0
-    act_core = 0.0
-    for module, (d_in, d_out) in spec.modules():
-        r = _module_rank(ranks, module, d_in, d_out)
-        core = r * r
-        eff = ti_fraction * (r * d_out) / 2.0 + core
-        a_core = spec.batch * spec.seq_len * r
-        per_module.append(
-            {"module": module, "rank": r, "trainable_params": core,
-             "effective_params": eff, "activation_floats": a_core}
-        )
-        steady += core
-        effective += eff
-        act_core += a_core
-    report = CostReport(
-        method="lamda",
-        trainable_params=float(steady),
-        effective_params=effective,
-        optimizer_state_bytes=optimizer_state_bytes(steady, spec.bytes_per_scalar),
-        gradient_bytes=float(steady) * spec.bytes_per_scalar,
-        activation_floats={"adapter_core_input": act_core},
-        per_module=per_module,
-    )
+
+    def row(d_in, d_out, r):
+        return {"rank": r, "trainable_params": r * r,
+                "effective_params": ti_fraction * (r * d_out) / 2.0 + r * r,
+                "activation_floats": spec.batch * spec.seq_len * r}
+
+    report = _report("lamda", spec, ranks, "adapter_core_input", row)
+    floats = report.activation_floats
     if ti_fraction > 0:  # a second r-wide intermediate per module while rows are live
-        report.activation_floats["up_projection_input_while_trainable"] = act_core
+        floats["up_projection_input_while_trainable"] = floats["adapter_core_input"]
     return report
 
 
-def activation_footprint(spec, method, ranks, include_trainable_up=False):
-    """Floats stored per step for the adapter paths: the `activation_floats`
-    of `count_lora` or of `count_lamda_effective`.
+def activation_footprint(spec, method, ranks):
+    """Floats stored per step for the adapter paths once every up-projection
+    row is frozen: the `activation_floats` of `count_lora`, or of
+    `count_lamda_effective` at t_i = 0.
 
     LoRA retains the d_in-wide input per module; the low-dimensional
-    adapter retains one r-wide intermediate per module (plus a second
-    r-wide one while up-projection rows are still trainable).
+    adapter retains one r-wide intermediate per module.
     """
     method = method.lower()
     if method == "lora":
         return count_lora(spec, ranks).activation_floats
     if method != "lamda":
         raise ConfigError(f"method must be 'lora' or 'lamda', got {method!r}")
-    ti_fraction = 1.0 if include_trainable_up else 0.0
-    return count_lamda_effective(spec, ranks, ti_fraction).activation_floats
+    return count_lamda_effective(spec, ranks, 0.0).activation_floats
 
 
 def optimizer_state_bytes(live_trainable_params, bytes_per_scalar=4):
@@ -197,10 +189,8 @@ def optimizer_state_bytes(live_trainable_params, bytes_per_scalar=4):
 
 
 def live_trainable_params(spec, ranks, rows_by_module):
-    """Live trainable scalars mid-schedule: core + still-trainable up rows."""
-    total = 0
-    for module, (d_in, d_out) in spec.modules():
-        r = _module_rank(ranks, module, d_in, d_out)
-        rows = rows_by_module[module] if isinstance(rows_by_module, dict) else rows_by_module
-        total += r * r + rows * d_out
-    return total
+    """Live trainable scalars mid-schedule: core + still-trainable up rows,
+    from one row count or a {module id: rows} map."""
+    by_module = isinstance(rows_by_module, dict)
+    return sum(r * r + (rows_by_module[module] if by_module else rows_by_module) * d_out
+               for module, _, d_out, r in _ranked(spec, ranks))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, ContractError, NumericalError
 from .kernels import jacobi_sweeps
 
 DEFAULT_TOL = 1e-12
@@ -33,7 +33,14 @@ class SpectralDecomposition:
         return self.sigma.shape[0]
 
     def reconstruct(self):
+        _check_factors(self, "reconstruct")
         return (self.u * self.sigma) @ self.v.T
+
+
+def _check_factors(dec, what):
+    if dec.u is None:
+        raise ContractError(f"{what} needs u and v, but the decomposition is "
+                            "values-only (compute_uv=False)")
 
 
 @dataclass
@@ -216,6 +223,7 @@ def check_rank(rank, shape, module=None):
 def _split(dec, r, tail):
     """(a, b) from the r components at one end of the spectrum; the others
     sum into the residual."""
+    _check_factors(dec, "a spectrum split")
     r = check_rank(r, (dec.u.shape[0], dec.v.shape[0]))
     path = slice(dec.k - r, None) if tail else slice(None, r)
     res = slice(None, dec.k - r) if tail else slice(r, None)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import allocator as _alloc
 from . import freezing as _freeze
-from .accounting import KINDS
+from .accounting import check_kinds
 from .adapter import INIT_MODES, AdapterConfig, build_adapter, build_lora
 from .errors import ConfigError, NumericalError
 from .model import ToyTransformer, ToyTransformerConfig
@@ -48,9 +48,7 @@ class TrainRunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        for kind in self.adapted_kinds:
-            if kind not in KINDS:
-                raise ConfigError(f"unknown adapted kind {kind!r}; expected one of {KINDS}")
+        check_kinds(self.adapted_kinds)
         for key, low in (("total_steps", 1), ("batch_size", 1), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")

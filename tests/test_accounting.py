@@ -36,6 +36,14 @@ class TestPresets:
             ModelSpec(name="x", layers=1, d_model=8, ffn_dim=16,
                       adapted_kinds=("attn",))
 
+    @pytest.mark.parametrize("kinds, message", [
+        pytest.param(("q", "q"), "'q' is listed twice", id="duplicate"),
+        pytest.param((), "non-empty", id="empty"),
+    ])
+    def test_kinds_are_non_empty_and_distinct(self, kinds, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelSpec(name="x", layers=1, d_model=8, ffn_dim=16, adapted_kinds=kinds)
+
     def test_module_enumeration(self):
         spec = ModelSpec(name="x", layers=2, d_model=8, ffn_dim=16,
                          adapted_kinds=("q", "ffn1"))

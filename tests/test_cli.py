@@ -191,6 +191,17 @@ class TestCount:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rank_plan_with_one_rank_equals_that_rank(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"ranks": _LLAMA_PLAN}))
+        outputs = {}
+        for name, ranks in (("plan", ["--rank-plan", str(plan)]), ("rank", ["--rank", "8"])):
+            out_json, out_csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            assert run_cli("count", "--model-preset", "llama2-7b", "--method", "lamda",
+                           *ranks, "--json", str(out_json), "--csv", str(out_csv)) == 0
+            outputs[name] = out_json.read_bytes(), out_csv.read_bytes()
+        assert outputs["plan"] == outputs["rank"]
+
     def test_unknown_preset(self):
         assert run_cli("count", "--model-preset", "gpt-99", "--method", "lora",
                        "--json", "-") == 2
@@ -380,12 +391,18 @@ class TestFinetuneReport:
         assert "rank_plan" in (err := capsys.readouterr().err) and "L7.q" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("kind", ["qq", "Q"])
-    def test_unknown_adapted_kind_is_usage_error(self, tmp_path, capsys, kind):
-        cfg = _run_config(tmp_path, adapted_kinds=["q", kind])
+    @pytest.mark.parametrize("kinds, named", [
+        pytest.param(["q", "qq"], "'qq'", id="qq"),
+        pytest.param(["q", "Q"], "'Q'", id="Q"),
+        pytest.param(["q", "v", "q"], "'q' is listed twice", id="duplicate"),
+        pytest.param([], "adapted_kinds must be non-empty", id="empty"),
+    ])
+    def test_unknown_adapted_kind_is_usage_error(self, tmp_path, capsys, kinds, named):
+        cfg = _run_config(tmp_path, adapted_kinds=kinds)
         code = run_cli("finetune", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
         assert code == 2
-        assert repr(kind) in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,4 @@
-"""Every name a `lamda` module imports is used in that module.
+"""Every name a `lamda` module or a `benchmarks/` script imports is used there.
 
 The one exception is the allow-list of bindings that perfbench's tracer
 test reads: each entry names the `perfbench/` file that needs it, and
@@ -22,10 +22,12 @@ PERFBENCH_SHIMS = {
 
 # `__init__.py` imports only to re-export, so it is not checked.
 MODULES = sorted(f[:-3] for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+BENCH = os.path.join(ROOT, "benchmarks")
+BENCHMARKS = sorted(f[:-3] for f in os.listdir(BENCH) if f.endswith(".py"))
 
 
-def _unused_imports(module):
-    with open(os.path.join(SRC, f"{module}.py"), encoding="utf-8") as fh:
+def _unused_imports(module, directory=SRC):
+    with open(os.path.join(directory, f"{module}.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     imported = {}
     for node in ast.walk(tree):
@@ -44,6 +46,12 @@ def test_every_import_is_used(module):
     unused = {name: line for name, line in _unused_imports(module).items()
               if (module, name) not in PERFBENCH_SHIMS}
     assert not unused, f"lamda/{module}.py imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("script", BENCHMARKS)
+def test_every_benchmark_import_is_used(script):
+    unused = _unused_imports(script, BENCH)
+    assert not unused, f"benchmarks/{script}.py imports names it never uses: {unused}"
 
 
 @pytest.mark.parametrize("module, name", sorted(PERFBENCH_SHIMS))

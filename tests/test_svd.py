@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from lamda.errors import ConfigError, NumericalError
+from lamda.adapter import AdapterConfig, build_adapter
+from lamda.errors import ConfigError, ContractError, NumericalError
 from lamda.svd import (energy_score, split_spectrum, split_spectrum_tail, svd,
                        svd_many)
 
@@ -255,6 +256,18 @@ class TestValuesOnly:
             svd(w, compute_uv=False)
         with pytest.raises(NumericalError, match="'w': the largest singular value overflows"):
             svd_many({"ok": _random((2, 2), 57), "w": w}, compute_uv=False)
+
+    @pytest.mark.parametrize("use", [
+        pytest.param(lambda w, dec: split_spectrum(dec, 2), id="split_spectrum"),
+        pytest.param(lambda w, dec: split_spectrum_tail(dec, 2), id="split_spectrum_tail"),
+        pytest.param(lambda w, dec: build_adapter(w, AdapterConfig(2, w.shape), dec=dec),
+                     id="build_adapter"),
+        pytest.param(lambda w, dec: dec.reconstruct(), id="reconstruct"),
+    ])
+    def test_factor_readers_reject_a_values_only_decomposition(self, use):
+        w = self.INPUTS["square"]
+        with pytest.raises(ContractError, match=r"values-only \(compute_uv=False\)"):
+            use(w, svd(w, compute_uv=False))
 
 
 class TestSplits:
