@@ -34,11 +34,19 @@ def _write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-def _parse_int_list(text):
+def _parse_list(text, flag, kind=str):
+    """The entries of a comma-separated `flag` value, each read by `kind`; an
+    empty, repeated or unreadable entry is a ConfigError naming it."""
+    entries = text.split(",")
+    for i, entry in enumerate(entries):
+        if not entry.strip():
+            raise ConfigError(f"{flag} entry {i + 1} of {text!r} is empty")
+        if entries.index(entry) < i:
+            raise ConfigError(f"{flag} names {entry!r} twice")
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        return tuple(map(kind, entries))
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {text!r}: {exc}") from None
 
 
 # ----------------------------------------------------------------- analyze
@@ -46,8 +54,8 @@ def _parse_int_list(text):
 
 def cmd_analyze(args):
     weights = container.read_weights(args.weights)
-    if args.modules:
-        wanted = args.modules.split(",")
+    if args.modules is not None:
+        wanted = _parse_list(args.modules, "--modules")
         for m in wanted:
             if m not in weights:
                 raise ConfigError(f"weights file has no tensor named {m!r}")
@@ -58,7 +66,8 @@ def cmd_analyze(args):
     matrices = {name: w for name, w in weights.items() if w.ndim == 2}
     if not matrices:
         raise ConfigError("no 2-D tensors to analyze")
-    budget = allocator.RankBudget(ranks=_parse_int_list(args.ranks), target=args.target)
+    ranks = _parse_list(args.ranks, "--ranks", int)
+    budget = allocator.RankBudget(ranks=ranks, target=args.target)
     if args.max_rank < 1:
         raise ConfigError(f"--max-rank must be >= 1, got {args.max_rank}")
 

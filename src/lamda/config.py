@@ -5,17 +5,20 @@ files, the ranks of a plan and the bundled model presets) becomes a typed
 record through `from_json`. An unknown key, a missing key without a
 default, or a value whose JSON type does not match the field's annotation
 is a ConfigError naming the file and the key path, raised before any
-compute, so a typo never silently falls back to a default. No value is
-converted: the record holds exactly what the document holds.
+compute, so a typo never silently falls back to a default. So is a `NaN`,
+`Infinity` or `-Infinity` in a float field: Python's `json` reads them,
+but they are not JSON numbers. No value is converted: the record holds
+exactly what the document holds.
 """
 
 import json
+import math
 from dataclasses import MISSING, fields, is_dataclass
 from typing import get_args, get_origin
 
 from .errors import ConfigError
 
-_SCALARS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
 def from_json(tp, value, where):
@@ -24,7 +27,8 @@ def from_json(tp, value, where):
     `tp` is a dataclass, `bool`, `int`, `float`, `str`, or `tuple[T, ...]`,
     `list[T]` or `dict[str, T]` of these. A dataclass is built from an
     object key by key, recursing into its fields' annotations. A bool is
-    never an int, and a float field takes an int as it is.
+    never an int, a float field takes an int as it is, and a float must be
+    finite.
     """
     if is_dataclass(tp):
         if not isinstance(value, dict):
@@ -47,7 +51,8 @@ def from_json(tp, value, where):
             raise ConfigError(f"{where} must be an object")
         return {k: from_json(args[1], v, f"{where}[{k!r}]") for k, v in value.items()}
     ok = isinstance(value, (int, float) if tp is float else tp)
-    if not ok or (isinstance(value, bool) and tp is not bool):
+    if (not ok or (isinstance(value, bool) and tp is not bool)
+            or (isinstance(value, float) and not math.isfinite(value))):
         raise ConfigError(f"{where} must be {_SCALARS[tp]}, got {value!r}")
     return value
 

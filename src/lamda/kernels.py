@@ -41,10 +41,12 @@ gathers its rows as copies, rotates them in place and scatters them back.
 The loop tests convergence after each sweep, so the head of the next sweep
 runs speculatively. It is a no-op whenever the converged sweep rotated
 nothing. A converged sweep can still rotate pairs whose relative
-off-diagonal is NaN, because the worst value skips NaN; if the next
-sweep's head then rotated anything, the kernel starts that problem again
-from its `at`/`vt` (left untouched until the final write-back) and stops
-at the converged sweep.
+off-diagonal is NaN, because the worst value skips NaN, and each such
+rotation turns both rows NaN. So a problem whose `at` rows hold a NaN when
+it converges with the next sweep's head run starts again from its
+`at`/`vt` (left untouched until the final write-back) and stops at the
+converged sweep. `svd` hands over only finite operands in a range where
+no dot product overflows, so it never reruns.
 """
 
 import functools
@@ -98,7 +100,7 @@ def _wave(work, m, tol, ip, iq, k, out):
     Row a of the (A, P) index arrays holds one problem's pairs, of which the
     first k belong to the older of two sweeps in flight. Writes, per
     problem, the worst relative off-diagonal of the older and of the newer
-    pairs and whether any newer pair rotated into out = (old, new, head).
+    pairs into out = (old, new).
     """
     # Gathered copies; `take` costs under half of work[ip] on a wave's rows.
     rp, rq = work.take(ip, axis=0), work.take(iq, axis=0)
@@ -114,7 +116,6 @@ def _wave(work, m, tol, ip, iq, k, out):
     np.fmax.reduce(rel[:, :k], axis=1, initial=0.0, out=out[0])
     np.fmax.reduce(rel[:, k:], axis=1, initial=0.0, out=out[1])
     rot = ~(rel <= tol)
-    np.logical_or.reduce(rot[:, k:], axis=1, out=out[2])
     count = np.count_nonzero(rot)
     if count == 0:
         return
@@ -158,15 +159,12 @@ def _sliced_wave(work, m, tol, ip, iq, k, out, slice_pairs):
             if t:
                 np.fmax(group[0], part[0], out=group[0])
                 np.fmax(group[1], part[1], out=group[1])
-                np.logical_or(group[2], part[2], out=group[2])
 
 
 def _offset_waves(schedule, base):
     """The schedule's waves for the problems whose rows start at `base`:
     per r, (A, P) row indices, one row of pairs per problem, and k_old.
     Every wave is a view of one block per index array."""
-    if base.tolist() == [0]:  # one problem, at row 0: views of the schedule's block
-        return [(ip[None], iq[None], k) for ip, iq, k in schedule]
     base = base[:, None]
     ip, iq = (np.concatenate([wave[i] for wave in schedule]) + base for i in (0, 1))
     waves, start = [], 0
@@ -182,8 +180,9 @@ def _sweeps(work, n, m, tol, max_sweeps, problems):
     problem b in `problems` (rows b*n .. b*n + n - 1 of `work`), in place.
 
     Returns arrays (sweeps, worst, converged, clean) in the order of
-    `problems`; clean is False where the last sweep converged after the
-    next sweep's head had rotated a pair.
+    `problems`; clean is False where the last sweep converged while the
+    next sweep's head ran and the problem's `at` rows hold a NaN: only a
+    NaN pair rotates in a converged sweep, and it turns both rows NaN.
     """
     problems = np.asarray(problems)
     count = problems.size
@@ -198,10 +197,9 @@ def _sweeps(work, n, m, tol, max_sweeps, problems):
     lag = max(2 * n_eff - 4, 0)  # global waves from a sweep's first to its last
     slice_pairs = max(1, _SLICE_BYTES // (work.strides[0] or 1))  # bytes per row
     # Per global wave g, in row g % ring, each running problem's worst value
-    # among the older and the newer pairs, and whether a newer pair rotated.
+    # among the older and the newer pairs.
     ring = 2 * n_eff
     old, new = np.zeros((ring, count)), np.zeros((ring, count))
-    head = np.zeros((ring, count), dtype=bool)
     live = np.arange(count)  # positions in `problems` still sweeping
     waves = _offset_waves(schedule, n * problems)
     g = 0
@@ -209,7 +207,7 @@ def _sweeps(work, n, m, tol, max_sweeps, problems):
         s, r = divmod(g, n_eff)
         ip, iq, k = waves[r]
         row = g % ring
-        out = old[row], new[row], head[row]
+        out = old[row], new[row]
         if 0 < s < max_sweeps and ip.size <= slice_pairs:  # the whole wave in one go
             _wave(work, m, tol, ip, iq, k, out)
         else:
@@ -230,11 +228,13 @@ def _sweeps(work, n, m, tol, max_sweeps, problems):
             if stop.any():
                 ended = live[stop]
                 sweeps[ended], worst[ended], converged[ended] = f + 1, top[stop], done[stop]
-                clean[ended] = ~(done[stop] & head[tail].any(axis=0)[stop])
+                if f + 1 < max_sweeps and ran > n_eff:  # sweep f + 1's head ran
+                    rows = work.reshape(-1, n, work.shape[1])[problems[ended], :, :m]
+                    clean[ended] = ~np.isnan(rows).any(axis=(1, 2))
                 live = live[~stop]
                 if live.size == 0:
                     return sweeps, worst, converged, clean
-                old, new, head = old[:, ~stop], new[:, ~stop], head[:, ~stop]
+                old, new = old[:, ~stop], new[:, ~stop]
                 waves = _offset_waves(schedule, n * problems[live])
         g += 1
 

@@ -134,6 +134,11 @@ class TestAnalyzePlan:
         pytest.param(["--max-rank", "0"], "--max-rank", id="max-rank-zero"),
         pytest.param(["--max-rank", "-3"], "--max-rank", id="max-rank-negative"),
         pytest.param(["--modules", "L0.q,bias"], "'bias'", id="module-not-a-matrix"),
+        pytest.param(["--modules", ""], "--modules entry 1 of '' is empty", id="modules-empty"),
+        pytest.param(["--modules", "L0.q,L0.q"], "--modules names 'L0.q' twice",
+                     id="module-twice"),
+        pytest.param(["--ranks", "4,,8,12", "--target", "8"], "--ranks entry 2 of '4,,8,12'",
+                     id="ranks-empty-entry"),
     ])
     def test_input_analyze_would_ignore_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                                        weights_file, argv, named):
@@ -233,6 +238,11 @@ _TINY_RUN = {"total_steps": 1, "batch_size": 2,
                  id="score-a-string"),
     pytest.param("plan", json.dumps({"modules": [dict(_SCORE, rank=4)]}),
                  id="score-entry-unknown-field"),
+    # Python's json reads NaN and Infinity, which are not JSON numbers.
+    pytest.param("plan", json.dumps({"modules": [dict(_SCORE, score=float("nan"))]}),
+                 id="score-nan"),
+    pytest.param("plan", json.dumps({"modules": [dict(_SCORE, score=float("inf"))]}),
+                 id="score-infinity"),
     pytest.param("plan", '{"modules": {"L0.q": 1.0}}', id="scores-modules-an-object"),
     pytest.param("plan", json.dumps({"modules": [_SCORE, _SCORE]}), id="module-scored-twice"),
     pytest.param("plan-budget", '{"ranks": "246", "target": 4}', id="budget-ranks-a-string"),
@@ -293,6 +303,10 @@ _BAD_RUN_VALUES = [
     ("adam_eps", -1, {}),
     ("alpha", 0, {}),
     ("alpha", -1.0, {}),
+    # Python's json reads Infinity, which is not a JSON number.
+    ("alpha", float("inf"), {}),
+    ("lr", float("inf"), {}),
+    ("adam_eps", float("inf"), {}),
     # LaMDA++-only keys under another method, and budget keys next to a plan.
     ("rank_plan", {"L0.q": 2, "L0.v": 2}, {}),
     ("budget_ranks", [2, 4, 6], {"method": "lora"}),
