@@ -167,20 +167,26 @@ def count_lamda_effective(spec, ranks, ti_fraction):
     return report
 
 
+def cost_report(spec, method, ranks, ti_fraction):
+    """The report of `method` ('lora' or 'lamda', in any case): the one
+    dispatch from a method name to a report. LoRA freezes nothing, so it
+    does not read `ti_fraction`."""
+    method = method.lower()
+    if method == "lora":
+        return count_lora(spec, ranks)
+    if method != "lamda":
+        raise ConfigError(f"method must be 'lora' or 'lamda', got {method!r}")
+    return count_lamda_effective(spec, ranks, ti_fraction)
+
+
 def activation_footprint(spec, method, ranks):
     """Floats stored per step for the adapter paths once every up-projection
-    row is frozen: the `activation_floats` of `count_lora`, or of
-    `count_lamda_effective` at t_i = 0.
+    row is frozen: the `activation_floats` of the report at t_i = 0.
 
     LoRA retains the d_in-wide input per module; the low-dimensional
     adapter retains one r-wide intermediate per module.
     """
-    method = method.lower()
-    if method == "lora":
-        return count_lora(spec, ranks).activation_floats
-    if method != "lamda":
-        raise ConfigError(f"method must be 'lora' or 'lamda', got {method!r}")
-    return count_lamda_effective(spec, ranks, 0.0).activation_floats
+    return cost_report(spec, method, ranks, 0.0).activation_floats
 
 
 def optimizer_state_bytes(live_trainable_params, bytes_per_scalar=4):
@@ -190,7 +196,6 @@ def optimizer_state_bytes(live_trainable_params, bytes_per_scalar=4):
 
 def live_trainable_params(spec, ranks, rows_by_module):
     """Live trainable scalars mid-schedule: core + still-trainable up rows,
-    from one row count or a {module id: rows} map."""
-    by_module = isinstance(rows_by_module, dict)
-    return sum(r * r + (rows_by_module[module] if by_module else rows_by_module) * d_out
+    from a {module id: rows} map."""
+    return sum(r * r + rows_by_module[module] * d_out
                for module, _, d_out, r in _ranked(spec, ranks))

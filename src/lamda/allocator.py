@@ -96,13 +96,10 @@ def score_from_sigma(module, sigma, budget):
     )
 
 
-def score_modules(weights, budget, decompositions):
-    """Candidacy scores for a {module id: weight matrix} map, in its order.
-
-    `decompositions` holds `svd` of each weight by module id.
-    """
-    return [score_from_sigma(module, decompositions[module].sigma, budget)
-            for module in weights]
+def score_modules(decompositions, budget):
+    """Candidacy scores for a {module id: `svd` of its weight} map, in its
+    order: the one LaMDA++ scoring of `lamda analyze` and a lamda++ run."""
+    return [score_from_sigma(module, dec.sigma, budget) for module, dec in decompositions.items()]
 
 
 def allocate(scores, budget, reverse=False):

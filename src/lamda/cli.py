@@ -77,12 +77,13 @@ def cmd_analyze(args):
     for name in names:
         if min(matrices[name].shape) > 0:
             check_rank(budget.ranks[-1], matrices[name].shape, name)
-    sigmas = {n: svd(matrices[n], compute_uv=False).sigma for n in names}
+    decompositions = {n: svd(matrices[n], compute_uv=False) for n in names}
 
-    scores = [allocator.score_from_sigma(n, sigmas[n], budget) for n in names]
+    scores = allocator.score_modules(decompositions, budget)
     _write_json(args.scores_out, {"modules": [asdict(m) for m in scores]})
 
     if args.energy_csv:
+        sigmas = {n: dec.sigma for n, dec in decompositions.items()}
         totals = {n: energy_score(sigma, len(sigma)) for n, sigma in sigmas.items()}
         _write_csv(args.energy_csv, chain(
             [["module", "rank", "energy_ratio"]],
@@ -108,19 +109,13 @@ def cmd_plan(args):
 
 def cmd_count(args):
     spec = accounting.load_preset(args.model_preset)
-    method = args.method.lower()
-    if method == "lora":
-        if args.rank_plan:
-            raise ConfigError("--rank-plan needs --method lamda; lora takes one --rank")
-        report = accounting.count_lora(spec, args.rank)
-    elif method == "lamda":
-        ranks = args.rank
-        if args.rank_plan:
-            doc = read_json(args.rank_plan, ("ranks",))
-            ranks = from_json(dict[str, int], doc["ranks"], f"{args.rank_plan}['ranks']")
-        report = accounting.count_lamda_effective(spec, ranks, args.ti)
-    else:
-        raise ConfigError(f"count supports methods lora|lamda, got {method!r}")
+    ranks = args.rank
+    if args.rank_plan:
+        if args.method.lower() != "lamda":
+            raise ConfigError(f"--rank-plan needs --method lamda, got {args.method!r}")
+        doc = read_json(args.rank_plan, ("ranks",))
+        ranks = from_json(dict[str, int], doc["ranks"], f"{args.rank_plan}['ranks']")
+    report = accounting.cost_report(spec, args.method, ranks, args.ti)
     _write_json(args.json, asdict(report))
     if args.csv:
         _write_csv(args.csv, report.csv_rows())
@@ -267,7 +262,8 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (LamdaError, OSError) as exc:  # OSError: a missing or malformed path
+    # OSError: a missing or malformed path; MemoryError: a model too large to allocate
+    except (LamdaError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,6 +42,10 @@ class ToyTransformerConfig:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by heads {self.heads}"
             )
+        # A row of one feature has zero variance, so layer_norm divides by sqrt(ln_eps).
+        if self.ln_eps < 0 or (self.ln_eps == 0 and self.d_model == 1):
+            raise ConfigError(f"model ln_eps must be >= 0, and > 0 when d_model is 1; "
+                              f"got {self.ln_eps} with d_model {self.d_model}")
 
 
 def backbone_shapes(cfg):
@@ -109,7 +113,7 @@ class ToyTransformer:
         for t in self.params.values():
             t.requires_grad = trainable
 
-    def linear_module_ids(self, kinds=KINDS):
+    def linear_module_ids(self, kinds):
         return [f"L{i}.{k}" for i in range(self.cfg.layers) for k in kinds]
 
     def linear(self, x, module):
@@ -148,8 +152,6 @@ class ToyTransformer:
     def forward(self, tokens):
         """tokens: (b, n) int array -> logits Tensor of shape (b*n, vocab)."""
         tokens = np.asarray(tokens)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
         b, n = tokens.shape
         if n > self.cfg.context:
             raise ShapeError(f"sequence length {n} exceeds context {self.cfg.context}")

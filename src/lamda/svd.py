@@ -52,19 +52,19 @@ class SpectrumSplit:
     w_res: np.ndarray  # d_in x d_out
 
 
-def svd(w, max_sweeps=MAX_SWEEPS, compute_uv=True):
+def svd(w, compute_uv=True):
     """Jacobi SVD of a d_in x d_out matrix; k = min(d_in, d_out) >= 1.
 
     The sweep runs on the side with fewer columns so the rotation count
-    stays k*(k-1)/2 per sweep. With compute_uv False (numpy's name) the
-    kernel accumulates no rotations and the result holds only sigma, bit
-    for bit that of the full decomposition. This is the one-matrix case of
-    `svd_many`.
+    stays k*(k-1)/2 per sweep, for at most MAX_SWEEPS sweeps. With
+    compute_uv False (numpy's name) the kernel accumulates no rotations and
+    the result holds only sigma, bit for bit that of the full
+    decomposition. This is the one-matrix case of `svd_many`.
     """
-    return svd_many({"matrix": w}, max_sweeps, compute_uv)["matrix"]
+    return svd_many({"matrix": w}, compute_uv)["matrix"]
 
 
-def svd_many(weights, max_sweeps=MAX_SWEEPS, compute_uv=True):
+def svd_many(weights, compute_uv=True):
     """`svd` of every matrix of a {key: matrix} map, as {key: decomposition}.
 
     Every matrix is checked before any is decomposed. Matrices whose kernel
@@ -84,11 +84,11 @@ def svd_many(weights, max_sweeps=MAX_SWEEPS, compute_uv=True):
             at[b] = operands[key][0].T  # rows are working columns
         vt = (np.broadcast_to(np.eye(k), at.shape[:1] + (k, k)).copy() if compute_uv
               else np.empty(at.shape[:1] + (k, 0)))
-        _, worst, converged = jacobi_sweeps(at, vt, DEFAULT_TOL, max_sweeps)
+        _, worst, converged = jacobi_sweeps(at, vt, DEFAULT_TOL, MAX_SWEEPS)
         for b, key in enumerate(keys):
             if not converged[b]:
                 raise NumericalError(
-                    f"jacobi svd of {key!r} did not converge in {max_sweeps} sweeps "
+                    f"jacobi svd of {key!r} did not converge in {MAX_SWEEPS} sweeps "
                     f"(relative off-diagonal {worst[b]:.3e})"
                 )
             if compute_uv:
@@ -185,10 +185,10 @@ def _complete_columns(u, start):
             raise NumericalError("could not complete orthonormal basis")
 
 
-def _fix_signs(u, v, eps=1e-12):
-    """Flip the columns of u and v where u's first entry above eps in magnitude is negative."""
-    big = np.abs(u) > eps
-    first = np.argmax(big, axis=0)  # 0 in a column with no entry above eps
+def _fix_signs(u, v):
+    """Flip the columns of u and v where u's first entry above 1e-12 in magnitude is negative."""
+    big = np.abs(u) > 1e-12
+    first = np.argmax(big, axis=0)  # 0 in a column with no such entry
     cols = np.arange(u.shape[1])
     flip = big[first, cols] & (u[first, cols] < 0)
     np.negative(u, out=u, where=flip)

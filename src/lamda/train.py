@@ -21,6 +21,7 @@ from .tensor import Tape, Tensor, get_float_mode
 
 METHODS = ("full", "lora", "lamda", "lamda++")
 EVAL_SEED = 10_000  # every eval draws the same batches
+EVAL_BATCHES = 4
 
 
 @dataclass
@@ -215,9 +216,6 @@ class TrainResult:
     optimizer: Adam
     schedules: dict
 
-    def loss_series(self):
-        return [row[1] for row in self.metrics]
-
 
 def build_run(cfg, backbone_weights=None):
     """Model, optimizer and freeze schedules for a run config.
@@ -260,7 +258,7 @@ def build_run(cfg, backbone_weights=None):
         # alone reads only sigma.
         decompositions = svd_many(weights, compute_uv=cfg.init_mode != "kaiming")
     if budget:
-        scores = _alloc.score_modules(weights, budget, decompositions)
+        scores = _alloc.score_modules(decompositions, budget)
         ranks = _alloc.allocate(scores, budget, reverse=cfg.reverse_allocation).ranks
     ti = int(round(cfg.ti_fraction * cfg.total_steps))
     for i, module in enumerate(sorted(ranks)):
@@ -291,11 +289,11 @@ def _freeze_rows(model, opt, schedules, t):
             opt.set_live_rows(f"{module}.b", rows)
 
 
-def eval_loss(model, task_id, cfg, batches=4):
-    """Mean loss on freshly drawn eval batches; no graph is recorded."""
+def eval_loss(model, task_id, cfg):
+    """Mean loss on EVAL_BATCHES freshly drawn eval batches; no graph is recorded."""
     task = make_task(task_id, cfg.model.vocab, cfg.model.context, seed=EVAL_SEED)
     losses = []
-    for _ in range(batches):
+    for _ in range(EVAL_BATCHES):
         inputs, targets = task.batch(cfg.batch_size)
         losses.append(float(model.loss(inputs, targets).data))
     return float(np.mean(losses))
@@ -315,26 +313,30 @@ def train(cfg, backbone_weights=None, metrics_hook=None):
     model, opt, schedules = build_run(cfg, backbone_weights)
     metrics = []
 
-    for t in range(cfg.total_steps):
-        _freeze_rows(model, opt, schedules, t)
-        inputs, targets = task.batch(cfg.batch_size)
-        with Tape() as tape:
-            loss = model.loss(inputs, targets)
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise NumericalError(
-                    f"loss diverged at step {t} (method={cfg.method}, "
-                    f"task={cfg.task}, lr={cfg.lr})"
-                )
-            tape.backward(loss)
-        retained = count_retained_activations(tape)
-        del loss, tape  # step t's graph goes before the update and step t+1
-        opt.step()
-        opt.zero_grad()
-        row = (t, loss_val, opt.live_scalars(), retained)
-        metrics.append(row)
-        if metrics_hook is not None:
-            metrics_hook(row)
+    # A step that overflows ends in the loss check below or in Adam's
+    # finite check, each of which names it; numpy's warnings would only
+    # print their source lines first.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(cfg.total_steps):
+            _freeze_rows(model, opt, schedules, t)
+            inputs, targets = task.batch(cfg.batch_size)
+            with Tape() as tape:
+                loss = model.loss(inputs, targets)
+                loss_val = float(loss.data)
+                if not np.isfinite(loss_val):
+                    raise NumericalError(
+                        f"loss diverged at step {t} (method={cfg.method}, "
+                        f"task={cfg.task}, lr={cfg.lr})"
+                    )
+                tape.backward(loss)
+            retained = count_retained_activations(tape)
+            del loss, tape  # step t's graph goes before the update and step t+1
+            opt.step()
+            opt.zero_grad()
+            row = (t, loss_val, opt.live_scalars(), retained)
+            metrics.append(row)
+            if metrics_hook is not None:
+                metrics_hook(row)
 
     return TrainResult(
         config=cfg, metrics=metrics, model=model, optimizer=opt, schedules=schedules

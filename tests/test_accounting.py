@@ -135,8 +135,8 @@ class TestRuntimeHelpers:
     def test_live_params_endpoints(self):
         spec = ModelSpec(name="x", layers=1, d_model=8, ffn_dim=16,
                          adapted_kinds=("q", "ffn1"))
-        full = live_trainable_params(spec, 2, 2)
-        frozen = live_trainable_params(spec, 2, 0)
+        full = live_trainable_params(spec, 2, {"L0.q": 2, "L0.ffn1": 2})
+        frozen = live_trainable_params(spec, 2, {"L0.q": 0, "L0.ffn1": 0})
         assert full == (4 + 2 * 8) + (4 + 2 * 16)
         assert frozen == 8  # just the two cores
 

@@ -81,7 +81,7 @@ class TestScoring:
     def test_score_modules_runs_svd(self):
         rng = np.random.default_rng(6)
         weights = {"L0.q": rng.normal(size=(64, 64)), "L0.v": rng.normal(size=(64, 64))}
-        scores = score_modules(weights, BUDGET, svd_many(weights))
+        scores = score_modules(svd_many(weights), BUDGET)
         assert {s.module for s in scores} == set(weights)
         for s in scores:
             assert s.e_lo <= s.e_target <= s.e_hi
@@ -94,7 +94,7 @@ class TestScoring:
         weights = {"L0.q": np.random.default_rng(7).normal(size=(64, 64)),
                    "L0.v": np.zeros((64, 64))}
         with pytest.raises(ConfigError, match="'L0.v': no energy"):
-            score_modules(weights, BUDGET, svd_many(weights))
+            score_modules(svd_many(weights), BUDGET)
 
     def test_parse_module_id(self):
         assert parse_module_id("L3.ffn1") == (3, "ffn1")

@@ -10,7 +10,7 @@ import pytest
 from lamda import accounting, cli, container
 from lamda.errors import NumericalError
 from lamda.model import ToyTransformer, ToyTransformerConfig
-from lamda.train import train
+from lamda.train import TrainRunConfig, build_run, train
 
 
 def run_cli(*argv):
@@ -151,6 +151,29 @@ class TestAnalyzePlan:
                        "--energy-csv", str(energy), *argv) == 2
         assert named in capsys.readouterr().err
         assert calls == [] and not scores.exists() and not energy.exists()
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("init_mode", ["spectral_top", "kaiming"])
+    def test_plan_is_the_ranks_of_a_lamdapp_run(self, tmp_path, init_mode, reverse):
+        """analyze and plan over a run's adapted modules assign the ranks that
+        a lamda++ run with the same budget does, with full SVDs (spectral_top)
+        and with values only (kaiming)."""
+        cfg = TrainRunConfig(method="lamda++", budget_ranks=(2, 4, 6), budget_target=4,
+                             reverse_allocation=reverse, init_mode=init_mode,
+                             model=ToyTransformerConfig(layers=2, d_model=16, heads=2,
+                                                        ffn_dim=32, vocab=11, context=8))
+        model = build_run(cfg)[0]
+        weights, budget = tmp_path / "w.ldwt", tmp_path / "budget.json"
+        scores, plan = tmp_path / "scores.json", tmp_path / "plan.json"
+        container.write_weights(weights, model.weights())
+        budget.write_text(json.dumps({"ranks": [2, 4, 6], "target": 4}))
+        assert run_cli("analyze", "--weights", str(weights), "--ranks", "2,4,6",
+                       "--target", "4", "--scores-out", str(scores), "--modules",
+                       ",".join(model.linear_module_ids(cfg.adapted_kinds))) == 0
+        assert run_cli("plan", "--scores", str(scores), "--budget", str(budget),
+                       "--out", str(plan), *(["--reverse"] if reverse else [])) == 0
+        assert json.loads(plan.read_text())["ranks"] == {
+            m: st.config.rank for m, st in model.adapters.items()}
 
     def test_matrix_no_scale_fits_is_numerical_error(self, tmp_path, capsys):
         weights = tmp_path / "w.ldwt"
@@ -307,6 +330,10 @@ _BAD_RUN_VALUES = [
     ("alpha", float("inf"), {}),
     ("lr", float("inf"), {}),
     ("adam_eps", float("inf"), {}),
+    # layer_norm divides by sqrt(ln_eps) where a row has zero variance.
+    ("model.ln_eps", -1.0, {}),
+    ("model.ln_eps", 0.0, {"model": {"layers": 1, "d_model": 1, "heads": 1, "ffn_dim": 32,
+                                     "vocab": 11, "context": 8}}),
     # LaMDA++-only keys under another method, and budget keys next to a plan.
     ("rank_plan", {"L0.q": 2, "L0.v": 2}, {}),
     ("budget_ranks", [2, 4, 6], {"method": "lora"}),
@@ -548,15 +575,38 @@ class TestFinetuneReport:
         assert "L0.q.s is not finite after Adam step 1" in err
         assert not out.exists()
 
-    def test_update_overflow_prints_only_the_error_line(self, tmp_path):
+    @pytest.mark.parametrize("overrides, error", [
+        # 1e39 is beyond f32, so Adam's one update makes the parameters inf or NaN.
+        pytest.param({"total_steps": 1, "lr": 1e39}, "numerical error: parameter ",
+                     id="update-overflows-f32"),
+        # 1e30 fits f32, so the update stays finite, but the next forward overflows.
+        pytest.param({"lr": 1e30}, "numerical error: loss diverged at step 1",
+                     id="forward-overflows"),
+    ])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, overrides, error):
         # A fresh interpreter shows numpy's warnings, which pytest would capture.
-        cfg = _run_config(tmp_path, total_steps=1, lr=1e39)
+        cfg = _run_config(tmp_path, **overrides)
         proc = subprocess.run(
             [sys.executable, "-m", "lamda.cli", "finetune", "--config", str(cfg),
              "--out-dir", str(tmp_path / "o")], capture_output=True, text=True)
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical error: parameter "), lines
+        assert len(lines) == 1 and lines[0].startswith(error), lines
+        assert not (tmp_path / "o").exists()
+
+    def test_model_too_large_to_allocate_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # 10**15 x 16 floats lie beyond the 48-bit address space, so the
+        # allocation fails at once and touches no memory.
+        calls = []
+        monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
+                            lambda at, *args: calls.append(at.shape))
+        cfg = _run_config(tmp_path, model={"layers": 1, "d_model": 16, "heads": 2,
+                                           "ffn_dim": 32, "vocab": 10**15, "context": 8})
+        out = tmp_path / "o"
+        assert run_cli("finetune", "--config", str(cfg), "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
+        assert calls == [] and not out.exists()
 
 
 def test_console_entry_point(tmp_path):

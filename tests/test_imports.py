@@ -1,4 +1,5 @@
-"""Every name a `lamda` module or a `benchmarks/` script imports is used there.
+"""Every name a `lamda` module or a `benchmarks/` script imports is used there,
+and no `lamda` module reads an environment variable.
 
 The one exception is the allow-list of bindings that perfbench's tracer
 test reads: each entry names the `perfbench/` file that needs it, and
@@ -26,9 +27,13 @@ BENCH = os.path.join(ROOT, "benchmarks")
 BENCHMARKS = sorted(f[:-3] for f in os.listdir(BENCH) if f.endswith(".py"))
 
 
-def _unused_imports(module, directory=SRC):
+def _tree(module, directory=SRC):
     with open(os.path.join(directory, f"{module}.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+        return ast.parse(fh.read())
+
+
+def _unused_imports(module, directory=SRC):
+    tree = _tree(module, directory)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -59,3 +64,15 @@ def test_each_shim_is_unused_and_bound_by_perfbench(module, name):
     assert name in _unused_imports(module), f"{module}.{name} is used; drop it from the list"
     with open(os.path.join(ROOT, PERFBENCH_SHIMS[module, name]), encoding="utf-8") as fh:
         assert f'"{module}.{name}"' in fh.read()
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__"])
+def test_no_module_reads_the_environment(module):
+    """The package has no environment knob, so a retired flag such as
+    LDA_NO_NUMBA or LDA_FLOAT_MODE cannot come back as one."""
+    reads = [node.lineno for node in ast.walk(_tree(module))
+             if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                 and isinstance(node.value, ast.Name) and node.value.id == "os")
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and any(alias.name in ("environ", "getenv") for alias in node.names))]
+    assert not reads, f"lamda/{module}.py reads the environment on lines {reads}"

@@ -35,8 +35,6 @@ def test_forward_shapes():
     tokens = np.zeros((3, 8), dtype=np.int64)
     logits = model.forward(tokens)
     assert logits.data.shape == (24, 11)
-    # 1-D input is treated as a single sequence
-    assert model.forward(tokens[0]).data.shape == (8, 11)
 
 
 def test_context_overflow():
@@ -88,8 +86,8 @@ def test_batch_sequences_are_independent(f64):
     s1 = np.array([1, 2, 3, 4, 5, 6, 7, 8])
     s2 = np.array([8, 7, 6, 5, 4, 3, 2, 1])
     both = model.forward(np.stack([s1, s2])).data
-    assert np.abs(both[:8] - model.forward(s1).data).max() <= 1e-12
-    assert np.abs(both[8:] - model.forward(s2).data).max() <= 1e-12
+    assert np.abs(both[:8] - model.forward(s1[None]).data).max() <= 1e-12
+    assert np.abs(both[8:] - model.forward(s2[None]).data).max() <= 1e-12
 
 
 def test_adapter_routing_preserves_function_at_init(f64):

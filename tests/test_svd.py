@@ -67,9 +67,10 @@ class TestDecomposition:
         svd(w.T)  # transposed view shares the buffer
         assert np.array_equal(w, before)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["lamda.svd"], "MAX_SWEEPS", 0)
         with pytest.raises(NumericalError, match="converge"):
-            svd(_random((6, 6), 17), max_sweeps=0)
+            svd(_random((6, 6), 17))
 
     def test_rejects_vectors(self):
         with pytest.raises(ConfigError):
@@ -161,9 +162,10 @@ class TestSvdMany:
             svd_many({"good": _random((8, 6), 9), "bad": bad})
         assert kernel_calls == []
 
-    def test_non_convergence_names_the_matrix(self):
+    def test_non_convergence_names_the_matrix(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["lamda.svd"], "MAX_SWEEPS", 0)
         with pytest.raises(NumericalError, match="'L0.q' did not converge"):
-            svd_many({"L0.q": _random((6, 6), 17)}, max_sweeps=0)
+            svd_many({"L0.q": _random((6, 6), 17)})
 
 
 def _extreme_values():
