@@ -26,8 +26,7 @@ q, k, v, ffn1 and ffn2, for LoRA and LaMDA (kaiming init, so no SVD runs).
 Printed per form: the bytes the forward leaves allocated while the tape
 is alive and the step's peak, both from tracemalloc, next to the adapter
 activations the cost model says must be kept while every row trains (the
-`activation_floats` of `accounting.count_lora`, or of
-`accounting.count_lamda_effective` at t_i = 1), and per
+`activation_floats` of `accounting.cost_report` at t_i = 1), and per
 model the LoRA/LaMDA ratio of the fused forms' held bytes next to the
 paper's 1.32x peak-memory ratio (measured on full-size models, whose
 weights this toy does not have).
@@ -190,8 +189,7 @@ def _held_bytes(model_cfg, method, rank, forward):
     spec = accounting.ModelSpec(name="bench", layers=model_cfg.layers, d_model=model_cfg.d_model,
                                 ffn_dim=model_cfg.ffn_dim, adapted_kinds=cfg.adapted_kinds,
                                 seq_len=model_cfg.context, batch=cfg.batch_size)
-    report = (accounting.count_lora(spec, rank) if method == "lora"
-              else accounting.count_lamda_effective(spec, rank, 1.0))
+    report = accounting.cost_report(spec, method, rank, 1.0)
     return held, peak, 4 * sum(report.activation_floats.values())
 
 

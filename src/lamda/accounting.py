@@ -103,7 +103,12 @@ class CostReport:
 def _ranked(spec, ranks):
     """(module, d_in, d_out, r) for every adapted module of `spec`, in order:
     the one walk over the modules. `ranks` is one int or a {module id: rank}
-    map; each rank is checked to fit its module's weight."""
+    map, which may name no module the spec lacks; each rank is checked to
+    fit its module's weight."""
+    if isinstance(ranks, dict):
+        extra = sorted(set(ranks) - {module for module, _ in spec.modules()})
+        if extra:
+            raise ConfigError(f"rank_plan names modules that are not adapted: {extra}")
     for module, (d_in, d_out) in spec.modules():
         r = ranks
         if isinstance(ranks, dict):
@@ -145,6 +150,11 @@ def count_lora(spec, rank):
     return _report("lora", spec, rank, "adapter_input", row)
 
 
+def _check_ti_fraction(ti_fraction):
+    if not 0.0 <= ti_fraction <= 1.0:
+        raise ConfigError(f"ti_fraction {ti_fraction} outside [0, 1]")
+
+
 def count_lamda_effective(spec, ranks, ti_fraction):
     """Effective (time-averaged) counts under gradual up-projection freezing.
 
@@ -152,8 +162,7 @@ def count_lamda_effective(spec, ranks, ti_fraction):
     fields (trainable params, optimizer, gradient) describe the post-
     freeze regime where only the r x r cores remain live.
     """
-    if not 0.0 <= ti_fraction <= 1.0:
-        raise ConfigError(f"ti_fraction {ti_fraction} outside [0, 1]")
+    _check_ti_fraction(ti_fraction)
 
     def row(d_in, d_out, r):
         return {"rank": r, "trainable_params": r * r,
@@ -169,13 +178,14 @@ def count_lamda_effective(spec, ranks, ti_fraction):
 
 def cost_report(spec, method, ranks, ti_fraction):
     """The report of `method` ('lora' or 'lamda', in any case): the one
-    dispatch from a method name to a report. LoRA freezes nothing, so it
-    does not read `ti_fraction`."""
+    dispatch from a method name to a report. `ti_fraction` must lie in
+    [0, 1] for both methods, though LoRA freezes nothing and does not read it."""
     method = method.lower()
+    if method not in ("lora", "lamda"):
+        raise ConfigError(f"method must be 'lora' or 'lamda', got {method!r}")
+    _check_ti_fraction(ti_fraction)
     if method == "lora":
         return count_lora(spec, ranks)
-    if method != "lamda":
-        raise ConfigError(f"method must be 'lora' or 'lamda', got {method!r}")
     return count_lamda_effective(spec, ranks, ti_fraction)
 
 

@@ -175,17 +175,15 @@ def _offset_waves(schedule, base):
     return waves
 
 
-def _sweeps(work, n, m, tol, max_sweeps, problems):
-    """Up to max_sweeps overlapped cyclic sweeps over the n rows of each
-    problem b in `problems` (rows b*n .. b*n + n - 1 of `work`), in place.
+def _sweeps(work, count, n, m, tol, max_sweeps):
+    """Up to max_sweeps overlapped cyclic sweeps, in place, over `count`
+    problems of n rows each (problem b's are rows b*n .. b*n + n - 1).
 
-    Returns arrays (sweeps, worst, converged, clean) in the order of
-    `problems`; clean is False where the last sweep converged while the
-    next sweep's head ran and the problem's `at` rows hold a NaN: only a
-    NaN pair rotates in a converged sweep, and it turns both rows NaN.
+    Returns arrays (sweeps, worst, converged, clean) of length count; clean
+    is False where the last sweep converged while the next sweep's head ran
+    and the problem's `at` rows hold a NaN: only a NaN pair rotates in a
+    converged sweep, and it turns both rows NaN.
     """
-    problems = np.asarray(problems)
-    count = problems.size
     sweeps = np.full(count, max_sweeps)
     worst = np.zeros(count)
     converged = np.zeros(count, dtype=bool)
@@ -196,18 +194,17 @@ def _sweeps(work, n, m, tol, max_sweeps, problems):
     schedule = _schedule(n_eff)
     lag = max(2 * n_eff - 4, 0)  # global waves from a sweep's first to its last
     slice_pairs = max(1, _SLICE_BYTES // (work.strides[0] or 1))  # bytes per row
-    # Per global wave g, in row g % ring, each running problem's worst value
-    # among the older and the newer pairs.
-    ring = 2 * n_eff
-    old, new = np.zeros((ring, count)), np.zeros((ring, count))
-    live = np.arange(count)  # positions in `problems` still sweeping
-    waves = _offset_waves(schedule, n * problems)
+    # Sweep f's worst values, one column per running problem, are in
+    # worst_of[f % 2]: row r from its newer pairs in wave f*n + r, row n + r
+    # from its older pairs in wave (f + 1)*n + r, and 0 where it has none.
+    worst_of = np.zeros((2, 2 * n_eff, count))
+    live = np.arange(count)  # problems still sweeping
+    waves = _offset_waves(schedule, n * live)
     g = 0
     while True:
         s, r = divmod(g, n_eff)
         ip, iq, k = waves[r]
-        row = g % ring
-        out = old[row], new[row]
+        out = worst_of[(s - 1) % 2, n_eff + r], worst_of[s % 2, r]
         if 0 < s < max_sweeps and ip.size <= slice_pairs:  # the whole wave in one go
             _wave(work, m, tol, ip, iq, k, out)
         else:
@@ -216,26 +213,20 @@ def _sweeps(work, n, m, tol, max_sweeps, problems):
             _sliced_wave(work, m, tol, ip[:, lo:hi], iq[:, lo:hi], k - lo, out, slice_pairs)
         if g >= lag and (g - lag) % n_eff == 0:  # sweep f has run its last wave
             f = (g - lag) // n_eff
-            first, ran = f * n_eff % ring, g + 1 - f * n_eff
-            # Sweep f's pairs are the newer ones of its first n waves and the
-            # older ones of the waves after them; those also ran the head of
-            # sweep f + 1.
-            tail = slice((first + n_eff) % ring, (first + n_eff) % ring + max(ran - n_eff, 0))
-            top = np.fmax(new[first:first + min(n_eff, ran)].max(axis=0, initial=0.0),
-                          old[tail].max(axis=0, initial=0.0))
+            top = worst_of[f % 2].max(axis=0)
             done = top <= tol
             stop = np.ones_like(done) if f + 1 == max_sweeps else done
             if stop.any():
                 ended = live[stop]
                 sweeps[ended], worst[ended], converged[ended] = f + 1, top[stop], done[stop]
-                if f + 1 < max_sweeps and ran > n_eff:  # sweep f + 1's head ran
-                    rows = work.reshape(-1, n, work.shape[1])[problems[ended], :, :m]
+                if f + 1 < max_sweeps and n_eff > 3:  # sweep f + 1's head ran
+                    rows = work.reshape(count, n, -1)[ended, :, :m]
                     clean[ended] = ~np.isnan(rows).any(axis=(1, 2))
                 live = live[~stop]
                 if live.size == 0:
                     return sweeps, worst, converged, clean
-                old, new = old[:, ~stop], new[:, ~stop]
-                waves = _offset_waves(schedule, n * problems[live])
+                worst_of = worst_of[:, :, ~stop]
+                waves = _offset_waves(schedule, n * live)
         g += 1
 
 
@@ -262,11 +253,11 @@ def jacobi_sweeps(at, vt, tol, max_sweeps):
         # One gather and one rotation per wave: each problem's n rows of
         # [at | vt] follow the previous problem's.
         work = np.concatenate([a3, v3], axis=2).reshape(count * n, m + v3.shape[2])
-        sweeps, worst, converged, clean = _sweeps(work, n, m, tol, max_sweeps, np.arange(count))
+        sweeps, worst, converged, clean = _sweeps(work, count, n, m, tol, max_sweeps)
         for b in np.flatnonzero(~clean):  # undo its next sweep's speculative head:
-            rows = slice(b * n, (b + 1) * n)  # rerun, stopping at the converged sweep
-            work[rows] = np.concatenate([a3[b], v3[b]], axis=1)
-            rerun = _sweeps(work, n, m, tol, int(sweeps[b]), [b])
+            rows = work[b * n:(b + 1) * n]  # rerun, stopping at the converged sweep
+            rows[...] = np.concatenate([a3[b], v3[b]], axis=1)
+            rerun = _sweeps(rows, 1, n, m, tol, sweeps[b])
             sweeps[b], worst[b], converged[b] = (x[0] for x in rerun[:3])
     a3[...] = work[:, :m].reshape(count, n, m)
     v3[...] = work[:, m:].reshape(v3.shape)

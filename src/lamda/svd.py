@@ -91,11 +91,7 @@ def svd_many(weights, compute_uv=True):
                     f"jacobi svd of {key!r} did not converge in {MAX_SWEEPS} sweeps "
                     f"(relative off-diagonal {worst[b]:.3e})"
                 )
-            if compute_uv:
-                decs[key] = _factors(key, at[b], vt[b], *operands[key][1:])
-            else:
-                sigma = _sigma(key, at[b], operands[key][2])[0]
-                decs[key] = SpectralDecomposition(u=None, sigma=sigma, v=None)
+            decs[key] = _factors(key, at[b], vt[b], *operands[key][1:])
     return {key: decs[key] for key in weights}
 
 
@@ -130,11 +126,11 @@ def _operand(key, w):
     return (w.T if flipped else w), flipped, exponent
 
 
-def _sigma(key, at, exponent):
-    """(sigma, order, norms, live) from the kernel's orthogonalized rows `at`:
-    order sorts the rows by descending norm, norms are the sorted row norms
-    with all but the `live` leading ones cut to 0, and sigma is norms with
-    the input's power-of-two scale undone."""
+def _factors(key, at, vt, flipped, exponent):
+    """The decomposition from the kernel's orthogonalized rows `at` and
+    rotations `vt`, values only if `vt` has no columns. Sigma is the row
+    norms in descending order, all but the `live` leading ones cut to 0,
+    with the input's power-of-two scale undone."""
     norms = np.sqrt(np.einsum("ij,ij->i", at, at))
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
@@ -146,13 +142,8 @@ def _sigma(key, at, exponent):
             sigma = np.ldexp(norms, -exponent)
         if np.isinf(sigma[0]):
             raise NumericalError(f"svd of {key!r}: the largest singular value overflows float64")
-    return sigma, order, norms, live
-
-
-def _factors(key, at, vt, flipped, exponent):
-    """The decomposition from the kernel's orthogonalized rows `at` and
-    rotations `vt`."""
-    sigma, order, norms, live = _sigma(key, at, exponent)
+    if vt.shape[1] == 0:
+        return SpectralDecomposition(u=None, sigma=sigma, v=None)
     u = at[order].T.copy()  # m x k, columns still scaled by sigma
     v = vt[order].T.copy()
     u[:, :live] /= norms[:live]

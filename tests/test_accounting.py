@@ -82,6 +82,12 @@ class TestClosedFormCounts:
         with pytest.raises(ConfigError, match="no rank"):
             count_lamda_effective(spec, ranks={"L0.q": 2}, ti_fraction=0.0)
 
+    def test_ranks_naming_modules_the_spec_lacks(self):
+        spec = ModelSpec(name="x", layers=1, d_model=8, ffn_dim=16, adapted_kinds=("q",))
+        with pytest.raises(ConfigError, match=r"not adapted: \['L0\.v', 'L9\.q'\]"):
+            count_lamda_effective(spec, ranks={"L0.q": 2, "L9.q": 2, "L0.v": 2},
+                                  ti_fraction=0.0)
+
     def test_ti_fraction_bounds(self):
         spec = load_preset("llama2-7b")
         with pytest.raises(ConfigError):

@@ -1,10 +1,13 @@
 """The benchmark scripts in `benchmarks/` still run, so their byte-equality
 checks still hold. `bench_svd.py` takes about 15 s even at its smallest
-settings and is left to be run by hand."""
+settings, so its checks run here in process on small operands."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -19,3 +22,24 @@ def test_bench_ops_runs_and_its_forms_agree():
     )
     assert proc.returncode == 0, proc.stderr
     assert "LoRA/LaMDA held after forward" in proc.stdout
+
+
+def test_bench_svd_checks_hold_on_small_operands(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "bench_svd", os.path.join(ROOT, "benchmarks", "bench_svd.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    # The kernel against the scalar loop, and full against values-only.
+    bench._row("24x12", (24, 12), 1)
+    bench._values_only_row("24x12", (24, 12), 1)
+    label, sweeps, waves = capsys.readouterr().out.split()[:3]
+    # The wave counter sees every wave: n per sweep plus the last one's
+    # tail of n - 3, with n = 12 working columns.
+    assert label == "24x12" and int(waves) == int(sweeps) * 12 + 9
+
+    rng = np.random.default_rng(5)
+    ats = [bench._operands(rng.normal(size=shape)) for shape in ((12, 8), (8, 20), (12, 8))]
+    _, one = bench._one_at_a_time(ats)
+    _, stacked = bench._stacked(ats)
+    assert stacked == one and all(run[4] for run in one)

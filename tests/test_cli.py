@@ -219,6 +219,25 @@ class TestCount:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["--method", "lora", "--rank", "8", "--ti", "7"], "ti_fraction 7.0",
+                     id="lora-ti-above-one"),
+        pytest.param(["--method", "lamda", "--rank-plan", "PLAN"],
+                     "not adapted: ['L99.q', 'not-a-module']", id="plan-names-unknown-modules"),
+    ])
+    def test_input_the_report_cannot_take_is_usage_error(self, tmp_path, capsys, argv, named):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"ranks": dict(_LLAMA_PLAN, **{"L99.q": 8,
+                                                                   "not-a-module": 8})}))
+        out = tmp_path / "count.json"
+        argv = [str(plan) if a == "PLAN" else a for a in argv]
+        assert run_cli("count", "--model-preset", "llama2-7b", *argv,
+                       "--json", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
+        assert not out.exists()
+
     def test_rank_plan_with_one_rank_equals_that_rank(self, tmp_path):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"ranks": _LLAMA_PLAN}))
