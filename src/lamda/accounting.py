@@ -39,6 +39,28 @@ def check_kinds(kinds):
             raise ConfigError(f"adapted kind {kind!r} is listed twice")
 
 
+def check_ti_fraction(ti_fraction):
+    """The one check of a freeze horizon, as a fraction of the run: [0, 1]."""
+    if not 0.0 <= ti_fraction <= 1.0:
+        raise ConfigError(f"ti_fraction {ti_fraction} outside [0, 1]")
+
+
+def module_ranks(shapes, ranks):
+    """{module: rank} for a {module id: (d_in, d_out)} map and one rank setting,
+    an int or a {module id: rank} map: the one rank-map check. A map missing
+    modules (naming all), then one naming modules `shapes` lacks, then a rank
+    that does not fit its module (`svd.check_rank`) is a ConfigError."""
+    if not isinstance(ranks, dict):
+        ranks = dict.fromkeys(shapes, ranks)
+    missing = [m for m in shapes if m not in ranks]
+    if missing:
+        raise ConfigError(f"no rank assigned: rank_plan misses modules {missing}")
+    extra = sorted(set(ranks) - set(shapes))
+    if extra:
+        raise ConfigError(f"rank_plan names modules that are not adapted: {extra}")
+    return {m: check_rank(ranks[m], shape, m) for m, shape in shapes.items()}
+
+
 @dataclass
 class ModelSpec:
     name: str
@@ -102,20 +124,10 @@ class CostReport:
 
 def _ranked(spec, ranks):
     """(module, d_in, d_out, r) for every adapted module of `spec`, in order:
-    the one walk over the modules. `ranks` is one int or a {module id: rank}
-    map, which may name no module the spec lacks; each rank is checked to
-    fit its module's weight."""
-    if isinstance(ranks, dict):
-        extra = sorted(set(ranks) - {module for module, _ in spec.modules()})
-        if extra:
-            raise ConfigError(f"rank_plan names modules that are not adapted: {extra}")
-    for module, (d_in, d_out) in spec.modules():
-        r = ranks
-        if isinstance(ranks, dict):
-            if module not in ranks:
-                raise ConfigError(f"no rank assigned for module {module!r}")
-            r = ranks[module]
-        yield module, d_in, d_out, check_rank(r, (d_in, d_out), module)
+    the one walk over the modules, with `ranks` checked by `module_ranks`."""
+    shapes = dict(spec.modules())
+    for module, r in module_ranks(shapes, ranks).items():
+        yield module, *shapes[module], r
 
 
 def _report(method, spec, ranks, activation_key, row):
@@ -150,11 +162,6 @@ def count_lora(spec, rank):
     return _report("lora", spec, rank, "adapter_input", row)
 
 
-def _check_ti_fraction(ti_fraction):
-    if not 0.0 <= ti_fraction <= 1.0:
-        raise ConfigError(f"ti_fraction {ti_fraction} outside [0, 1]")
-
-
 def count_lamda_effective(spec, ranks, ti_fraction):
     """Effective (time-averaged) counts under gradual up-projection freezing.
 
@@ -162,7 +169,7 @@ def count_lamda_effective(spec, ranks, ti_fraction):
     fields (trainable params, optimizer, gradient) describe the post-
     freeze regime where only the r x r cores remain live.
     """
-    _check_ti_fraction(ti_fraction)
+    check_ti_fraction(ti_fraction)
 
     def row(d_in, d_out, r):
         return {"rank": r, "trainable_params": r * r,
@@ -183,7 +190,7 @@ def cost_report(spec, method, ranks, ti_fraction):
     method = method.lower()
     if method not in ("lora", "lamda"):
         raise ConfigError(f"method must be 'lora' or 'lamda', got {method!r}")
-    _check_ti_fraction(ti_fraction)
+    check_ti_fraction(ti_fraction)
     if method == "lora":
         return count_lora(spec, ranks)
     return count_lamda_effective(spec, ranks, ti_fraction)

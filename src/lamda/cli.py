@@ -13,7 +13,7 @@ from itertools import chain
 
 from . import accounting, allocator, container
 from .config import from_json, load_run_config, read_json
-from .svd import check_rank, energy_score, svd
+from .svd import energy_score, svd
 from .errors import ConfigError, LamdaError, NumericalError
 from .train import train
 
@@ -74,9 +74,8 @@ def cmd_analyze(args):
     names = sorted(matrices)
     # The largest candidate rank must fit every matrix before any SVD runs;
     # an empty matrix is left to svd's own check.
-    for name in names:
-        if min(matrices[name].shape) > 0:
-            check_rank(budget.ranks[-1], matrices[name].shape, name)
+    accounting.module_ranks({n: matrices[n].shape for n in names if matrices[n].size},
+                            budget.ranks[-1])
     decompositions = {n: svd(matrices[n], compute_uv=False) for n in names}
 
     scores = allocator.score_modules(decompositions, budget)
@@ -109,10 +108,12 @@ def cmd_plan(args):
 
 def cmd_count(args):
     spec = accounting.load_preset(args.model_preset)
-    ranks = args.rank
-    if args.rank_plan:
+    ranks = 32 if args.rank is None else args.rank
+    if args.rank_plan is not None:
         if args.method.lower() != "lamda":
             raise ConfigError(f"--rank-plan needs --method lamda, got {args.method!r}")
+        if args.rank is not None:
+            raise ConfigError("--rank does nothing with --rank-plan")
         doc = read_json(args.rank_plan, ("ranks",))
         ranks = from_json(dict[str, int], doc["ranks"], f"{args.rank_plan}['ranks']")
     report = accounting.cost_report(spec, args.method, ranks, args.ti)
@@ -233,7 +234,8 @@ def build_parser():
     p.add_argument("--model-preset", required=True,
                    help=f"one of: {', '.join(accounting.list_presets())}")
     p.add_argument("--method", required=True, help="lora | lamda")
-    p.add_argument("--rank", type=int, default=32)
+    p.add_argument("--rank", type=int,
+                   help="one rank for every module (default 32); not with --rank-plan")
     p.add_argument("--rank-plan", help="plan JSON with per-module ranks")
     p.add_argument("--ti", type=float, default=0.3,
                    help="freeze horizon as a fraction of total iterations")

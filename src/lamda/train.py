@@ -11,11 +11,11 @@ import numpy as np
 
 from . import allocator as _alloc
 from . import freezing as _freeze
-from .accounting import check_kinds
+from .accounting import check_kinds, check_ti_fraction, module_ranks
 from .adapter import INIT_MODES, AdapterConfig, build_adapter, build_lora
 from .errors import ConfigError, NumericalError
 from .model import ToyTransformer, ToyTransformerConfig
-from .svd import check_rank, svd_many
+from .svd import svd_many
 from .tasks import make_task
 from .tensor import Tape, Tensor, get_float_mode
 
@@ -59,8 +59,7 @@ class TrainRunConfig:
         for key in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
-        if not 0.0 <= self.ti_fraction <= 1.0:
-            raise ConfigError(f"ti_fraction {self.ti_fraction} outside [0, 1]")
+        check_ti_fraction(self.ti_fraction)
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         # lora and lamda read `rank`; lamda++ reads its rank_plan, or else its
@@ -238,20 +237,10 @@ def build_run(cfg, backbone_weights=None):
     module_ids = model.linear_module_ids(cfg.adapted_kinds)
     weights = {m: model.params[m].data for m in module_ids}
     budget = cfg.rank_budget()  # a LaMDA++ budget ranks the modules by their spectra
-    if cfg.rank_plan:  # only lamda++ has one
-        missing = [m for m in module_ids if m not in cfg.rank_plan]
-        extra = sorted(set(cfg.rank_plan) - set(module_ids))
-        if missing:
-            raise ConfigError(f"rank_plan misses modules: {missing}")
-        if extra:
-            raise ConfigError(f"rank_plan names modules that are not adapted: {extra}")
-        ranks = {m: int(cfg.rank_plan[m]) for m in module_ids}
-    elif not budget:
-        ranks = {m: cfg.rank for m in module_ids}
     # Every rank must fit its weight before any SVD runs. A budget gives
     # each module one of its candidate ranks, so its largest is checked.
-    for m, w in weights.items():
-        check_rank(budget.ranks[-1] if budget else ranks[m], w.shape, m)
+    ranks = module_ranks({m: w.shape for m, w in weights.items()},
+                         cfg.rank_plan or (budget.ranks[-1] if budget else cfg.rank))
     decompositions = {}
     if cfg.method != "lora" and (budget or cfg.init_mode != "kaiming"):
         # Spectral init and budget scoring share one SVD per weight; scoring

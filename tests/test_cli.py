@@ -224,19 +224,36 @@ class TestCount:
                      id="lora-ti-above-one"),
         pytest.param(["--method", "lamda", "--rank-plan", "PLAN"],
                      "not adapted: ['L99.q', 'not-a-module']", id="plan-names-unknown-modules"),
+        pytest.param(["--method", "lamda", "--rank-plan", "SHORT"],
+                     "misses modules ['L0.q', 'L0.k']", id="plan-misses-modules"),
+        pytest.param(["--method", "lamda", "--rank", "999999", "--rank-plan", "PLAN"],
+                     "--rank does nothing with --rank-plan", id="rank-beside-plan"),
+        pytest.param(["--method", "lora", "--rank-plan", ""], "--rank-plan needs --method lamda",
+                     id="empty-plan-path-under-lora"),
     ])
     def test_input_the_report_cannot_take_is_usage_error(self, tmp_path, capsys, argv, named):
-        plan = tmp_path / "plan.json"
+        plan, short = tmp_path / "plan.json", tmp_path / "short.json"
         plan.write_text(json.dumps({"ranks": dict(_LLAMA_PLAN, **{"L99.q": 8,
                                                                    "not-a-module": 8})}))
+        short.write_text(json.dumps({"ranks": {m: r for m, r in _LLAMA_PLAN.items()
+                                               if m not in ("L0.q", "L0.k")}}))
         out = tmp_path / "count.json"
-        argv = [str(plan) if a == "PLAN" else a for a in argv]
+        argv = [{"PLAN": str(plan), "SHORT": str(short)}.get(a, a) for a in argv]
         assert run_cli("count", "--model-preset", "llama2-7b", *argv,
                        "--json", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert named in err
         assert not out.exists()
+
+    def test_rank_defaults_to_32(self, tmp_path):
+        outputs = []
+        for ranks in ([], ["--rank", "32"]):
+            out = tmp_path / f"count{len(outputs)}.json"
+            assert run_cli("count", "--model-preset", "llama2-7b", "--method", "lamda",
+                           *ranks, "--json", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_rank_plan_with_one_rank_equals_that_rank(self, tmp_path):
         plan = tmp_path / "plan.json"

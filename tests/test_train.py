@@ -262,6 +262,26 @@ class TestResolveRanks:
         with pytest.raises(ConfigError, match=r"not adapted: \['L7.q'\]"):
             build_run(cfg)
 
+    @pytest.mark.parametrize("change, named", [
+        pytest.param({"L0.q": None, "L0.k": None}, "misses modules ['L0.q', 'L0.k']",
+                     id="missing"),
+        pytest.param({"L7.q": 4}, "not adapted: ['L7.q']", id="extra"),
+        pytest.param({"L0.ffn2": 17}, "module 'L0.ffn2': rank 17 exceeds", id="rank-too-large"),
+    ])
+    def test_run_and_count_refuse_a_plan_in_the_same_words(self, change, named):
+        plan = dict.fromkeys(["L0.q", "L0.k", "L0.v", "L0.ffn1", "L0.ffn2"], 4) | change
+        plan = {m: r for m, r in plan.items() if r is not None}
+        cfg = TrainRunConfig(method="lamda++", rank_plan=plan, model=SMALL)
+        spec = accounting.ModelSpec(name="small", layers=SMALL.layers, d_model=SMALL.d_model,
+                                    ffn_dim=SMALL.ffn_dim, adapted_kinds=cfg.adapted_kinds)
+        errors = []
+        for refuse in (lambda: build_run(cfg),
+                       lambda: accounting.count_lamda_effective(spec, plan, cfg.ti_fraction)):
+            with pytest.raises(ConfigError) as exc:
+                refuse()
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] and named in errors[0], errors
+
     def test_budget_allocation_runs(self):
         cfg = TrainRunConfig(method="lamda++", budget_ranks=(2, 4, 6), budget_target=4,
                              model=SMALL)
