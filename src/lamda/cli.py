@@ -8,7 +8,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
 from itertools import chain
 
 from . import accounting, allocator, container
@@ -79,7 +78,7 @@ def cmd_analyze(args):
     decompositions = {n: svd(matrices[n], compute_uv=False) for n in names}
 
     scores = allocator.score_modules(decompositions, budget)
-    _write_json(args.scores_out, {"modules": [asdict(m) for m in scores]})
+    _write_json(args.scores_out, {"modules": [vars(m) for m in scores]})
 
     if args.energy_csv:
         sigmas = {n: dec.sigma for n, dec in decompositions.items()}
@@ -99,7 +98,7 @@ def cmd_plan(args):
     scores = from_json(list[allocator.ModuleScore], doc["modules"], f"{args.scores}['modules']")
     budget = from_json(allocator.RankBudget, read_json(args.budget), args.budget)
     plan = allocator.allocate(scores, budget, reverse=args.reverse)
-    _write_json(args.out, asdict(plan))
+    _write_json(args.out, vars(plan))
     return 0
 
 
@@ -117,7 +116,7 @@ def cmd_count(args):
         doc = read_json(args.rank_plan, ("ranks",))
         ranks = from_json(dict[str, int], doc["ranks"], f"{args.rank_plan}['ranks']")
     report = accounting.cost_report(spec, args.method, ranks, args.ti)
-    _write_json(args.json, asdict(report))
+    _write_json(args.json, vars(report))
     if args.csv:
         _write_csv(args.csv, report.csv_rows())
     return 0
@@ -204,15 +203,7 @@ def cmd_report(args):
 # -------------------------------------------------------------------- main
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="lamda",
-        description="Spectral adapter toolkit: spectrum analysis, rank "
-        "planning, cost accounting, and toy-model fine-tuning.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="per-module spectra and candidacy scores")
+def _analyze_arguments(p):
     p.add_argument("--weights", required=True)
     p.add_argument("--ranks", required=True, help="candidate ranks, e.g. 16,24,32,40,48")
     p.add_argument("--target", required=True, type=int)
@@ -222,7 +213,8 @@ def build_parser():
     p.add_argument("--max-rank", type=int, default=32)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("plan", help="quantile rank assignment from scores")
+
+def _plan_arguments(p):
     p.add_argument("--scores", required=True)
     p.add_argument("--budget", required=True)
     p.add_argument("--reverse", action="store_true",
@@ -230,7 +222,8 @@ def build_parser():
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("count", help="analytical cost report for a model preset")
+
+def _count_arguments(p):
     p.add_argument("--model-preset", required=True,
                    help=f"one of: {', '.join(accounting.list_presets())}")
     p.add_argument("--method", required=True, help="lora | lamda")
@@ -243,22 +236,53 @@ def build_parser():
     p.add_argument("--csv")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("finetune", help="run a training config")
+
+def _finetune_arguments(p):
     p.add_argument("--config", required=True)
     p.add_argument("--backbone", help="weight container with pre-trained backbone")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("report", help="merge run metrics into one CSV")
+
+def _report_arguments(p):
     p.add_argument("--runs", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
+
+
+# (name, help, argument adder). Each adder looks its handler up when the
+# parser is built, so a handler rebound on this module is the one that runs.
+COMMANDS = (
+    ("analyze", "per-module spectra and candidacy scores", _analyze_arguments),
+    ("plan", "quantile rank assignment from scores", _plan_arguments),
+    ("count", "analytical cost report for a model preset", _count_arguments),
+    ("finetune", "run a training config", _finetune_arguments),
+    ("report", "merge run metrics into one CSV", _report_arguments),
+)
+
+
+def build_parser(argv=()):
+    """The parser of every command, or of the one `argv[0]` names. The
+    usage line lists every command either way."""
+    parser = argparse.ArgumentParser(
+        prog="lamda",
+        description="Spectral adapter toolkit: spectrum analysis, rank "
+        "planning, cost accounting, and toy-model fine-tuning.",
+    )
+    invoked = [c for c in COMMANDS if argv and c[0] == argv[0]]
+    # The metavar puts every command in the usage line of one command's
+    # parser. It is left unset for the full parser, whose missing- and
+    # invalid-command errors name the argument `command`.
+    metavar = "{" + ",".join(name for name, _, _ in COMMANDS) + "}" if invoked else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments in invoked or COMMANDS:
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except NumericalError as exc:

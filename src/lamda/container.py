@@ -70,7 +70,7 @@ def write_weights_stream(fh, tensors):
         fh.write(struct.pack("<BB", _CODE_FOR[arr.dtype], arr.ndim))
         for dim in arr.shape:
             fh.write(struct.pack("<Q", dim))
-        fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
 
 
 def _read_exact(fh, n, what):
@@ -108,16 +108,17 @@ def read_weights_stream(fh):
                 f"truncated container: tensor {name!r} of shape {dims} needs "
                 f"{nbytes} bytes, {end - fh.tell()} are left"
             )
-        data = np.frombuffer(_read_exact(fh, nbytes, f"data of {name!r}"), dtype=dtype)
         try:
-            data = data.reshape(dims)
+            data = np.empty(dims, dtype)
         except (ValueError, OverflowError):
             raise ConfigError(f"tensor {name!r}: shape {dims} is not an array shape") from None
+        if fh.readinto(data) != nbytes:
+            raise ConfigError(f"truncated container while reading data of {name!r}")
         if name in tensors:
             raise ConfigError(f"duplicate tensor name {name!r}")
         if not np.isfinite(data).all():
             raise NumericalError(f"tensor {name!r} holds non-finite values")
-        tensors[name] = data.copy()
+        tensors[name] = data
     if fh.tell() != end:
         raise ConfigError(f"{end - fh.tell()} trailing bytes after the last tensor")
     return tensors

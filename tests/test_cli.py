@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -668,3 +669,41 @@ def test_float_mode_ignores_environment(tmp_path, env_mode):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "f32\n"
+
+
+def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch, weights_file):
+    """`lamda analyze` adds no other command's arguments: it never lists the
+    presets that `count`'s help names."""
+    built, listed = [], []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy_add_parser)
+    monkeypatch.setattr(accounting, "list_presets", lambda: listed.append(1) or [])
+    assert run_cli("analyze", "--weights", str(weights_file), "--ranks", "2,4", "--target", "3",
+                   "--scores-out", str(tmp_path / "scores.json")) == 0
+    assert built == ["analyze"] and listed == []
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_COMMANDS = ("analyze", "plan", "count", "finetune", "report")
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]]
+                         + [[name, "-h"] for name in _COMMANDS]
+                         + [[name, "--no-such-option"] for name in _COMMANDS],
+                         ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys):
+    assert (_parse_outcome(cli.main, argv, capsys)
+            == _parse_outcome(cli.build_parser().parse_args, argv, capsys))

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import struct
 from dataclasses import replace
@@ -202,3 +203,30 @@ def test_any_bytes_give_tensors_or_a_documented_error(raw):
         return
     for arr in tensors.values():
         assert arr.dtype in (np.float32, np.float64) and np.all(np.isfinite(arr))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(3, 5), (), (0,), (0, 4)])
+def test_read_arrays_are_contiguous_writable_and_own_their_memory(tmp_path, dtype, shape):
+    """A read backbone is trained in place, so no tensor may be a view of a
+    read buffer."""
+    tensors = {"t": np.arange(math.prod(shape), dtype=dtype).reshape(shape)}
+    write_weights(tmp_path / "w.ldwt", tensors)
+    save_checkpoint(tmp_path / "c.ldck", tensors, {})
+    for back in (read_weights(tmp_path / "w.ldwt"), load_checkpoint(tmp_path / "c.ldck")[0]):
+        arr = back["t"]
+        assert arr.dtype == dtype and arr.shape == shape
+        assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+        assert arr.tobytes() == tensors["t"].tobytes()
+
+
+def test_short_tensor_data_names_the_tensor():
+    """A stream that ends inside a tensor's data, though its length said the
+    data was there, is a ConfigError naming that tensor."""
+
+    class ShortRead(io.BytesIO):
+        def readinto(self, buf):
+            return super().readinto(memoryview(buf).cast("B")[:-1])
+
+    with pytest.raises(ConfigError, match="truncated container while reading data of 'w'"):
+        read_weights_stream(ShortRead(_container()))
