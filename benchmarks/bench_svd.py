@@ -9,9 +9,8 @@ for each size n, a 2n x n matrix, all Gaussian and laid out as `svd` hands
 them to the kernel. For every repeat both kernels run on the same operand,
 must converge, and must give byte-equal factors, sweep counts and worst
 off-diagonals. Each row prints the sweeps, the kernel's global waves
-(batched numpy steps, counted in an untimed run; a wave of wide rows counts
-once per slice), the best wall time of each kernel and each one's
-tracemalloc peak (an untimed run).
+(batched numpy steps, counted in an untimed run), the best wall time of
+each kernel and each one's tracemalloc peak (an untimed run).
 
 A second table takes the 10 spectral-init operands of the `finetune-toy-lamda`
 backbone (`perfbench/workloads.py`: the toy model pre-trained for 100 steps on
@@ -27,11 +26,19 @@ identity `vt` (the full SVD) and with a zero-column `vt` (singular values
 only, as `lamda analyze` runs it). Both must give byte-equal `at`, sweep
 counts and worst off-diagonals. Each row prints the best wall time of each
 over the repeats (the two alternate) and each one's tracemalloc peak.
+
+A fourth table runs `svd_many` of the backbone's 10 weights, as a fine-tune's
+set-up does, in one fresh child interpreter per repeat
+(`OPENBLAS_NUM_THREADS=1`). Each row is one child: the wall time and the
+minor page faults (`resource.getrusage`) of its first call, the one every
+`lamda` process pays, and of a second call in the same process.
 """
 
 import argparse
 import os
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -112,12 +119,12 @@ def _row(label, shape, repeats):
           f"{_peak_kb(kernels.jacobi_sweeps, [_fresh(at0)]):>9.0f}")
 
 
-def _backbone_operands():
-    """The kernel operands of the backbone's spectral-init weights, in module order."""
+def _backbone_weights():
+    """The backbone's spectral-init weights as float64, in module order."""
     cfg = ToyTransformerConfig(**BACKBONE)
     weights = pretrain_backbone(cfg, **PRETRAIN)
     modules = [f"L{i}.{k}" for i in range(cfg.layers) for k in TrainRunConfig.adapted_kinds]
-    return [_operands(np.asarray(weights[m], dtype=np.float64)) for m in modules]
+    return {m: np.asarray(weights[m], dtype=np.float64) for m in modules}
 
 
 def _one_at_a_time(ats):
@@ -155,8 +162,8 @@ def _stacked(ats):
     return elapsed, out
 
 
-def _stack_table(repeats):
-    ats = _backbone_operands()
+def _stack_table(weights, repeats):
+    ats = [_operands(w) for w in weights.values()]
     best_one = best_stacked = best_single = float("inf")
     for _ in range(repeats):
         t_one, out_one = _one_at_a_time(ats)
@@ -201,6 +208,40 @@ def _values_only_row(label, shape, repeats):
           f"{best['full'] / best['values']:>8.2f}x {peaks[0]:>8.0f} {peaks[1]:>10.0f}")
 
 
+# One child's first and second `svd_many` of the weights saved at argv[1]:
+# prints wall seconds and minor page faults of each.
+_CHILD = """
+import resource, sys, time
+import numpy as np
+from lamda.svd import svd_many
+with np.load(sys.argv[1]) as saved:
+    weights = {key: saved[key] for key in saved.files}
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    svd_many(weights)
+    elapsed = time.perf_counter() - start
+    print(elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _cold_table(weights, children):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    print(f"{'fresh process':>13} {'first (ms)':>10} {'faults':>8} {'second (ms)':>11} "
+          f"{'faults':>8}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "weights.npz")
+        np.savez(path, **weights)
+        for child in range(children):
+            lines = subprocess.run([sys.executable, "-c", _CHILD, path], env=env, check=True,
+                                   stdout=subprocess.PIPE, text=True).stdout.splitlines()
+            (first, first_faults), (second, second_faults) = (line.split() for line in lines)
+            print(f"{child + 1:>13} {float(first) * 1e3:>10.0f} {first_faults:>8} "
+                  f"{float(second) * 1e3:>11.0f} {second_faults:>8}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="32,64,128,256",
@@ -215,12 +256,15 @@ def main():
     for label, shape in shapes:
         _row(label, shape, args.repeats)
     print()
-    _stack_table(args.repeats)
+    weights = _backbone_weights()
+    _stack_table(weights, args.repeats)
     print()
     print(f"{'matrix':>12} {'sweeps':>6} {'full (s)':>9} {'values (s)':>11} {'speed-up':>9} "
           f"{'full KB':>8} {'values KB':>10}")
     for r, c in TOY_SHAPES:
         _values_only_row(f"toy {r}x{c}", (r, c), args.repeats)
+    print()
+    _cold_table(weights, args.repeats)
 
 
 if __name__ == "__main__":

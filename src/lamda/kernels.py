@@ -20,8 +20,12 @@ exactly the rows the one-at-a-time loop would hand it. Each step makes the
 loop's comparisons and arithmetic elementwise, and its dot products go
 through `np.vecdot`, which numpy sends to the same BLAS dot as `np.dot` on
 two rows. The factors are therefore bit for bit those of the scalar loop
-(`tests/oracles.py::jacobi_sweeps_cyclic_ref`). A wave of wide rows runs
-in slices, which changes no bit either: its pairs are disjoint.
+(`tests/oracles.py::jacobi_sweeps_cyclic_ref`). Under the malloc thresholds
+set at import (`_set_malloc_thresholds`), the waves' same-sized temporaries
+stay resident from one wave to the next. A wave runs whole, so the
+kernel's peak grows like 4 * B * (n/2) * (n + m) * 8 bytes for a stack of
+B n x m problems, and a wave whose gathered rows pass 32 MB per array
+(n of about 2048 for one square problem) maps its temporaries anew.
 
 Each numpy step costs a few microseconds whatever its size, and a toy
 64 x 64 problem takes about 700 of them, so one call can also sweep a
@@ -49,19 +53,36 @@ converged sweep. `svd` hands over only finite operands in a range where
 no dot product overflows, so it never reruns.
 """
 
+import ctypes
 import functools
+import os
 
 import numpy as np
 
 _TINY = 1e-300
-# A wave whose gathered rows would exceed this many bytes per array runs in
-# equal slices. Unsliced, such waves ran 13-22% slower than the unpipelined
-# kernel at n = 192 and 256, and a 64 x 2048 SVD took 2.2x its time with
-# 200k page faults: malloc mapped and unmapped the same-sized temporaries
-# anew on every wave. One toy operand never slices; a stack slices by whole
-# problems, so the toy backbone's four 64 x 256 operands run as two slices
-# of two. A 128 KB or 192 KB limit gave a slower toy fine-tune set-up.
-_SLICE_BYTES = 1 << 18
+
+
+def _set_malloc_thresholds():
+    """Make glibc's malloc keep freed memory for reuse (mallopt(3)).
+
+    By default glibc maps large blocks anew each time and hands the free top
+    of its heap back to the OS, so same-sized numpy temporaries, wave after
+    wave and training step after training step, fault their pages in again:
+    about 100k minor faults in a fresh process's first `svd_many` of the toy
+    backbone. Here blocks up to 32 MB come from the heap, which keeps up to
+    64 MB free. This sets the allocator of the whole process that imports
+    `lamda`; a libc without `mallopt` (macOS) keeps its own, and Windows,
+    whose ctypes cannot open the process itself, is left alone.
+    """
+    mallopt = None if os.name == "nt" else getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_set_malloc_thresholds()
 
 
 @functools.cache
@@ -141,26 +162,6 @@ def _wave(work, m, tol, ip, iq, k, out):
     work[iq] = rp
 
 
-def _sliced_wave(work, m, tol, ip, iq, k, out, slice_pairs):
-    """`_wave` in slices of at most slice_pairs pairs: whole problems
-    together while a problem's pairs fit, else one problem's pairs in equal
-    parts. The slices' pairs are disjoint, so no bit changes."""
-    count, size = ip.shape
-    together = max(1, slice_pairs // max(size, 1))  # problems per slice
-    groups = -(-count // together)  # ceiling division
-    parts = max(1, -(-size // slice_pairs))  # slices of one problem's pairs
-    for j in range(groups):
-        a, b = count * j // groups, count * (j + 1) // groups
-        group = tuple(x[a:b] for x in out)
-        for t in range(parts):
-            p, q = size * t // parts, size * (t + 1) // parts
-            part = group if t == 0 else tuple(np.empty_like(x) for x in group)
-            _wave(work, m, tol, ip[a:b, p:q], iq[a:b, p:q], max(k - p, 0), part)
-            if t:
-                np.fmax(group[0], part[0], out=group[0])
-                np.fmax(group[1], part[1], out=group[1])
-
-
 def _offset_waves(schedule, base):
     """The schedule's waves for the problems whose rows start at `base`:
     per r, (A, P) row indices, one row of pairs per problem, and k_old.
@@ -193,7 +194,6 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
     n_eff = max(n, 1)  # no rows, like one row, means no pairs
     schedule = _schedule(n_eff)
     lag = max(2 * n_eff - 4, 0)  # global waves from a sweep's first to its last
-    slice_pairs = max(1, _SLICE_BYTES // (work.strides[0] or 1))  # bytes per row
     # Sweep f's worst values, one column per running problem, are in
     # worst_of[f % 2]: row r from its newer pairs in wave f*n + r, row n + r
     # from its older pairs in wave (f + 1)*n + r, and 0 where it has none.
@@ -205,12 +205,9 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
         s, r = divmod(g, n_eff)
         ip, iq, k = waves[r]
         out = worst_of[(s - 1) % 2, n_eff + r], worst_of[s % 2, r]
-        if 0 < s < max_sweeps and ip.size <= slice_pairs:  # the whole wave in one go
-            _wave(work, m, tol, ip, iq, k, out)
-        else:
-            lo = k if s == 0 else 0  # sweep -1 does not exist
-            hi = k if s == max_sweeps else ip.shape[1]  # sweep max_sweeps never starts
-            _sliced_wave(work, m, tol, ip[:, lo:hi], iq[:, lo:hi], k - lo, out, slice_pairs)
+        lo = k if s == 0 else 0  # sweep -1 does not exist
+        hi = k if s == max_sweeps else ip.shape[1]  # sweep max_sweeps never starts
+        _wave(work, m, tol, ip[:, lo:hi], iq[:, lo:hi], k - lo, out)
         if g >= lag and (g - lag) % n_eff == 0:  # sweep f has run its last wave
             f = (g - lag) // n_eff
             top = worst_of[f % 2].max(axis=0)

@@ -1,6 +1,7 @@
 """The benchmark scripts in `benchmarks/` still run, so their byte-equality
 checks still hold. `bench_svd.py` takes about 15 s even at its smallest
-settings, so its checks run here in process on small operands."""
+settings, so its checks run here in process on small operands, and its
+fresh-process table in one child."""
 
 import importlib.util
 import os
@@ -43,3 +44,11 @@ def test_bench_svd_checks_hold_on_small_operands(capsys):
     _, one = bench._one_at_a_time(ats)
     _, stacked = bench._stacked(ats)
     assert stacked == one and all(run[4] for run in one)
+
+    # The fresh-process table: one child, one row of times and fault counts.
+    capsys.readouterr()
+    bench._cold_table({"a": rng.normal(size=(12, 8)), "b": rng.normal(size=(8, 20))}, 1)
+    _, row = capsys.readouterr().out.splitlines()
+    child, first, first_faults, second, second_faults = row.split()
+    assert child == "1" and float(first) >= 0 and float(second) >= 0
+    assert int(first_faults) >= 0 and int(second_faults) >= 0

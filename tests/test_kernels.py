@@ -1,8 +1,10 @@
+import ctypes
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -233,14 +235,10 @@ def test_schedule_is_the_wavefront_rule_across_sweeps(n):
 _SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
 
 
-@pytest.mark.parametrize("slice_bytes", [None, 200])
-def test_fuzz_bitwise_equals_cyclic_loop(rollbacks, monkeypatch, slice_bytes):
+def test_fuzz_bitwise_equals_cyclic_loop(rollbacks):
     """Small matrices with special values, zero and duplicate rows, odd
     tolerances and sweep caps: kernel and loop agree byte for byte, and the
-    speculative-head rollback is among the paths taken. With slice_bytes,
-    the waves run in slices of one or two pairs, as big matrices' waves do."""
-    if slice_bytes is not None:
-        monkeypatch.setattr(kernels, "_SLICE_BYTES", slice_bytes)
+    speculative-head rollback is among the paths taken."""
     rng = np.random.default_rng(909)
     for _ in range(400):
         n = int(rng.integers(0, 9))
@@ -289,25 +287,16 @@ _STACK_CASES = {
                           np.array([[1.0], [2.0], [0.0], [5.0]]),
                           np.array([[-0.0], [-0.0], [4.0], [np.nan]])], 60),
     "n1": ([_rng_normal(47, (1, 5)), np.zeros((1, 5)), _rng_normal(48, (1, 5))], 60),
-    # Four toy ffn operands: a wave gathers 4 x 32 rows of (256 + 64) floats
-    # per array, past _SLICE_BYTES, so it runs in two slices of two problems.
-    "toy-64x256-sliced": ([_svd_operands(_rng_normal(49 + i, (64, 256))) for i in range(4)], 60),
+    # The toy backbone's four ffn operands.
+    "toy-64x256": ([_svd_operands(_rng_normal(49 + i, (64, 256))) for i in range(4)], 60),
 }
-_STACK_PARAMS = [(case, slice_bytes) for case in _STACK_CASES if not case.startswith("toy")
-                 for slice_bytes in (None, 200, 2000)] + [("toy-64x256-sliced", None)]
 
 
-@pytest.mark.parametrize("case, slice_bytes", _STACK_PARAMS)
-def test_stack_bitwise_equals_cyclic_loop_per_problem(case, slice_bytes, rollbacks, monkeypatch):
+@pytest.mark.parametrize("case", list(_STACK_CASES))
+def test_stack_bitwise_equals_cyclic_loop_per_problem(case, rollbacks):
     """One stacked call gives every problem the scalar loop's factors, sweep
-    count, worst off-diagonal and convergence flag, bit for bit, whether
-    its waves run whole, in slices of whole problems (2000 bytes, and the
-    toy stack at the default) or in slices of one problem's pairs (200)."""
-    if slice_bytes is not None:
-        monkeypatch.setattr(kernels, "_SLICE_BYTES", slice_bytes)
+    count, worst off-diagonal and convergence flag, bit for bit."""
     ats, max_sweeps = _STACK_CASES[case]
-    if case == "toy-64x256-sliced":
-        assert 4 * 32 * (256 + 64) * 8 > kernels._SLICE_BYTES
     want = _loop_runs(ats, 1e-12, max_sweeps)
     assert _stacked_runs(ats, 1e-12, max_sweeps) == want
     if case == "different-sweep-counts":
@@ -329,13 +318,10 @@ def test_two_dimensional_call_is_the_one_problem_stack():
     assert at3[0].tobytes() == at2.tobytes() and vt3[0].tobytes() == vt2.tobytes()
 
 
-@pytest.mark.parametrize("slice_bytes", [None, 200, 1000])
-def test_fuzz_stacks_bitwise_equal_cyclic_loop(rollbacks, monkeypatch, slice_bytes):
+def test_fuzz_stacks_bitwise_equal_cyclic_loop(rollbacks):
     """Stacks of one to five small problems of one shape, with the special
     values, zero and duplicate rows, tolerances and sweep caps of the
     single-problem fuzz: each problem matches its own scalar loop."""
-    if slice_bytes is not None:
-        monkeypatch.setattr(kernels, "_SLICE_BYTES", slice_bytes)
     rng = np.random.default_rng(910)
     for _ in range(150):
         n = int(rng.integers(0, 9))
@@ -388,17 +374,53 @@ def test_values_only_bitwise_equals_full_run_and_cyclic_loop(case, rollbacks):
     assert rollbacks[0] == (case in ("nan-entry", "nan-rollback"))
 
 
-@pytest.mark.parametrize("case, slice_bytes", _STACK_PARAMS)
-def test_values_only_stack_bitwise_equals_full_run_and_cyclic_loop(case, slice_bytes,
-                                                                  rollbacks, monkeypatch):
+@pytest.mark.parametrize("case", list(_STACK_CASES))
+def test_values_only_stack_bitwise_equals_full_run_and_cyclic_loop(case, rollbacks):
     """A (B, n, 0) vt leaves every problem's at and results as the
-    identity-vt stack and the scalar loop do, whether the waves run whole
-    or in slices, and the problem with a NaN reruns its speculative head."""
-    if slice_bytes is not None:
-        monkeypatch.setattr(kernels, "_SLICE_BYTES", slice_bytes)
+    identity-vt stack and the scalar loop do, and the problem with a NaN
+    reruns its speculative head."""
     ats, max_sweeps = _STACK_CASES[case]
     full = _without_vt(_stacked_runs(ats, 1e-12, max_sweeps))
     assert full == _without_vt(_loop_runs(ats, 1e-12, max_sweeps))
     rollbacks[0] = 0
     assert _values_only_runs(ats, 1e-12, max_sweeps) == full
     assert rollbacks[0] == (case in ("nan-rollback-in-stack", "rows-of-length-1"))
+
+
+# A fresh interpreter's first svd_many of the toy backbone's ten weight
+# shapes; prints the call's minor page faults.
+_COLD_SVD_MANY = """
+import resource
+import numpy as np
+from lamda.svd import svd_many
+rng = np.random.default_rng(0)
+shapes = [(64, 64)] * 6 + [(64, 256), (256, 64)] * 2
+weights = {f"m{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+svd_many(weights)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(os.name == "nt" or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="libc has no mallopt")
+def test_fresh_process_reuses_the_waves_freed_memory():
+    """Under glibc's default thresholds the waves' same-sized temporaries
+    fault their pages in again every wave (about 100k faults in this call);
+    under the thresholds set at import, about 1k."""
+    assert int(_python(_COLD_SVD_MANY, OPENBLAS_NUM_THREADS="1")) < 10_000
+
+
+def test_malloc_thresholds_are_left_alone_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    assert kernels._set_malloc_thresholds() is None
+
+
+def test_malloc_thresholds_are_left_alone_on_windows(monkeypatch):
+    """Windows' ctypes raises TypeError on CDLL(None); it is never called."""
+    def cdll(name):
+        raise TypeError("argument of type 'NoneType' is not iterable")
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(kernels, "os", types.SimpleNamespace(name="nt"))
+    assert kernels._set_malloc_thresholds() is None
