@@ -10,20 +10,24 @@ them to the kernel. For every repeat both kernels run on the same operand,
 must converge, and must give byte-equal factors, sweep counts and worst
 off-diagonals. Each row prints the sweeps, the kernel's global waves
 (batched numpy steps, counted in an untimed run), the best wall time of
-each kernel and each one's tracemalloc peak (an untimed run).
+each kernel and each one's tracemalloc peak from the operand on (an
+untimed run): the loop's working copies of `at` and `vt`, or the kernel's
+buffer, and their temporaries.
 
 A second table takes the 10 spectral-init operands of the `finetune-toy-lamda`
 backbone (`perfbench/workloads.py`: the toy model pre-trained for 100 steps on
 `copy`, seed 0; six 64x64 and four 64x256 operands) and runs them through
 the kernel one at a time and stacked by shape, as `svd_many` does, and one
-64x64 operand alone. Both ways must give byte-equal factors, sweep counts
-and worst off-diagonals. Each row prints the kernel calls, the best wall
-time over the repeats (the two ways alternate), the time per operand and
-the tracemalloc peak of an untimed run, inputs excluded.
+64x64 operand alone, and then runs `svd_many` of the 10 weights, as a
+fine-tune's set-up does. The first two ways must give byte-equal factors,
+sweep counts and worst off-diagonals. Each row prints the kernel calls, the
+best wall time over the repeats (the ways alternate), the time per operand
+and the tracemalloc peak of an untimed run, inputs excluded (the kernel
+rows drop each call's results; `svd_many` keeps its decompositions).
 
-A third table runs each toy shape's operand through the kernel with an
-identity `vt` (the full SVD) and with a zero-column `vt` (singular values
-only, as `lamda analyze` runs it). Both must give byte-equal `at`, sweep
+A third table runs each toy shape's operand through the kernel with
+`compute_uv` True (the full SVD) and False (singular values only, as
+`lamda analyze` runs it). Both must give byte-equal `at`, sweep
 counts and worst off-diagonals. Each row prints the best wall time of each
 over the repeats (the two alternate) and each one's tracemalloc peak.
 
@@ -50,6 +54,7 @@ from oracles import jacobi_sweeps_cyclic_ref  # noqa: E402
 
 from lamda import kernels  # noqa: E402
 from lamda.model import ToyTransformerConfig  # noqa: E402
+from lamda.svd import svd_many  # noqa: E402
 from lamda.train import TrainRunConfig, pretrain_backbone  # noqa: E402
 
 TOY_SHAPES = ((64, 64), (64, 256), (256, 64))
@@ -59,33 +64,45 @@ PRETRAIN = dict(task_id="copy", steps=100, lr=3e-3, batch_size=16, seed=0)
 
 
 def _operands(w):
-    """The `at` that svd hands the kernel for weight w."""
+    """A C-contiguous copy of the operand that svd hands the kernel for weight w."""
     work = w.T if w.shape[1] > w.shape[0] else w
     return np.array(work.T, order="C", copy=True)
 
 
-def _fresh(at0):
-    return at0.copy(), np.eye(at0.shape[0])
+def _loop(at0):
+    """Bytes of the scalar loop's (at, vt, sweeps, worst, converged), run in
+    place on a copy of at0 and an identity vt."""
+    at, vt = at0.copy(), np.eye(at0.shape[0])
+    sweeps, worst, converged = jacobi_sweeps_cyclic_ref(at, vt, 1e-12, 60)
+    return at.tobytes(), vt.tobytes(), sweeps, np.float64(worst).tobytes(), converged
 
 
-def _run(kernel, at0):
-    at, vt = _fresh(at0)
+def _per_problem(at, vt, sweeps, worst, converged):
+    """Bytes of one kernel call's (at, vt, sweeps, worst, converged), per problem."""
+    return [(at[b].tobytes(), vt[b].tobytes(), int(sweeps[b]), worst[b].tobytes(),
+             bool(converged[b])) for b in range(len(at))]
+
+
+def _timed(fn, *args):
     start = time.perf_counter()
-    sweeps, worst, converged = kernel(at, vt, 1e-12, 60)
-    elapsed = time.perf_counter() - start
-    assert converged
-    return elapsed, (at.tobytes(), vt.tobytes(), sweeps, np.float64(worst).tobytes())
+    out = fn(*args)
+    return time.perf_counter() - start, out
 
 
-def _peak_kb(kernel, runs):
-    """The tracemalloc peak of `kernel` over (at, vt) runs, inputs excluded."""
+def _peak_kb(fn, *args):
+    """The tracemalloc peak of fn(*args), its arguments excluded."""
     tracemalloc.start()
     try:
-        for at, vt in runs:
-            kernel(at, vt, 1e-12, 60)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1] / 1024
     finally:
         tracemalloc.stop()
+
+
+def _sweep_each(stacks):
+    """One kernel call per stack of operands, each call's results dropped."""
+    for stack in stacks:
+        kernels.jacobi_sweeps(stack, True, 1e-12, 60)
 
 
 def _waves(at0):
@@ -99,7 +116,7 @@ def _waves(at0):
 
     kernels._wave = counted
     try:
-        kernels.jacobi_sweeps(*_fresh(at0), 1e-12, 60)
+        _sweep_each([[at0]])
     finally:
         kernels._wave = wave
     return count[0]
@@ -109,14 +126,14 @@ def _row(label, shape, repeats):
     best_ref = best_kernel = float("inf")
     for rep in range(repeats):
         at0 = _operands(np.random.default_rng(rep).normal(size=shape))
-        t_ref, out_ref = _run(jacobi_sweeps_cyclic_ref, at0)
-        t_kernel, out_kernel = _run(kernels.jacobi_sweeps, at0)
-        assert out_kernel == out_ref, f"{label}: kernel and cyclic loop differ"
+        t_ref, out_ref = _timed(_loop, at0)
+        t_kernel, out_kernel = _timed(kernels.jacobi_sweeps, [at0], True, 1e-12, 60)
+        assert out_ref[4], f"{label}: the cyclic loop did not converge"
+        assert _per_problem(*out_kernel) == [out_ref], f"{label}: kernel and cyclic loop differ"
         best_ref, best_kernel = min(best_ref, t_ref), min(best_kernel, t_kernel)
     print(f"{label:>12} {out_ref[2]:>6} {_waves(at0):>6} {best_ref:>10.4f} {best_kernel:>10.4f} "
-          f"{best_ref / best_kernel:>8.1f}x "
-          f"{_peak_kb(jacobi_sweeps_cyclic_ref, [_fresh(at0)]):>9.0f} "
-          f"{_peak_kb(kernels.jacobi_sweeps, [_fresh(at0)]):>9.0f}")
+          f"{best_ref / best_kernel:>8.1f}x {_peak_kb(_loop, at0):>9.0f} "
+          f"{_peak_kb(_sweep_each, [[at0]]):>9.0f}")
 
 
 def _backbone_weights():
@@ -128,61 +145,56 @@ def _backbone_weights():
 
 
 def _one_at_a_time(ats):
-    """Factors and results of one kernel call per operand; its wall time."""
-    runs = [_fresh(at) for at in ats]
-    start = time.perf_counter()
-    results = [kernels.jacobi_sweeps(at, vt, 1e-12, 60) for at, vt in runs]
-    elapsed = time.perf_counter() - start
-    return elapsed, [(at.tobytes(), vt.tobytes(), sweeps, np.float64(worst).tobytes(), converged)
-                     for (at, vt), (sweeps, worst, converged) in zip(runs, results)]
+    """Results of one kernel call per operand, per operand; their wall time."""
+    elapsed, outs = _timed(lambda: [kernels.jacobi_sweeps([at], True, 1e-12, 60) for at in ats])
+    return elapsed, [run for out in outs for run in _per_problem(*out)]
 
 
 def _stacks(ats):
-    """One stack per operand shape, in order of first appearance: (indices, at, vt)."""
+    """One stack per operand shape, in order of first appearance: (indices, operands)."""
     groups = {}
     for i, at in enumerate(ats):
         groups.setdefault(at.shape, []).append(i)
-    return [(idx, np.stack([ats[i] for i in idx]),
-             np.broadcast_to(np.eye(ats[idx[0]].shape[0]),
-                             (len(idx),) + (ats[idx[0]].shape[0],) * 2).copy())
-            for idx in groups.values()]
+    return [(idx, [ats[i] for i in idx]) for idx in groups.values()]
 
 
 def _stacked(ats):
-    """Factors and results of one kernel call per stack; its wall time."""
+    """Results of one kernel call per stack, per operand; their wall time."""
     stacks = _stacks(ats)
-    start = time.perf_counter()
-    results = [kernels.jacobi_sweeps(at, vt, 1e-12, 60) for _, at, vt in stacks]
-    elapsed = time.perf_counter() - start
-    out = [None] * len(ats)
-    for (idx, at, vt), (sweeps, worst, converged) in zip(stacks, results):
-        for b, i in enumerate(idx):
-            out[i] = (at[b].tobytes(), vt[b].tobytes(), int(sweeps[b]),
-                      np.float64(worst[b]).tobytes(), bool(converged[b]))
-    return elapsed, out
+    elapsed, outs = _timed(
+        lambda: [kernels.jacobi_sweeps(stack, True, 1e-12, 60) for _, stack in stacks])
+    runs = [None] * len(ats)
+    for (idx, _), out in zip(stacks, outs):
+        for i, run in zip(idx, _per_problem(*out)):
+            runs[i] = run
+    return elapsed, runs
 
 
 def _stack_table(weights, repeats):
     ats = [_operands(w) for w in weights.values()]
-    best_one = best_stacked = best_single = float("inf")
+    best_one = best_stacked = best_single = best_many = float("inf")
     for _ in range(repeats):
         t_one, out_one = _one_at_a_time(ats)
         t_stacked, out_stacked = _stacked(ats)
         t_single, _ = _one_at_a_time(ats[:1])
+        t_many, _ = _timed(svd_many, weights)
         assert out_stacked == out_one, "stacked and one-at-a-time kernels differ"
         assert all(run[4] for run in out_one)
         best_one, best_stacked = min(best_one, t_one), min(best_stacked, t_stacked)
-        best_single = min(best_single, t_single)
+        best_single, best_many = min(best_single, t_single), min(best_many, t_many)
+    stacks = [stack for _, stack in _stacks(ats)]
     peaks = (
-        _peak_kb(kernels.jacobi_sweeps, [_fresh(at) for at in ats]),
-        _peak_kb(kernels.jacobi_sweeps, [(at, vt) for _, at, vt in _stacks(ats)]),
-        _peak_kb(kernels.jacobi_sweeps, [_fresh(ats[0])]),
+        _peak_kb(_sweep_each, [[at] for at in ats]),
+        _peak_kb(_sweep_each, stacks),
+        _peak_kb(_sweep_each, [ats[:1]]),
+        _peak_kb(svd_many, weights),
     )
     print(f"{'backbone operands':>24} {'calls':>5} {'time (s)':>9} {'per op (ms)':>11} "
           f"{'peak KB':>8}")
     rows = (("10, one at a time", len(ats), best_one, len(ats)),
-            ("10, stacked by shape", len(_stacks(ats)), best_stacked, len(ats)),
-            ("one 64x64 alone", 1, best_single, 1))
+            ("10, stacked by shape", len(stacks), best_stacked, len(ats)),
+            ("one 64x64 alone", 1, best_single, 1),
+            ("10, svd_many", len(stacks), best_many, len(ats)))
     for (label, calls, best, count), peak in zip(rows, peaks):
         print(f"{label:>24} {calls:>5} {best:>9.4f} {best / count * 1e3:>11.2f} {peak:>8.0f}")
     print(f"stacked: {best_one / best_stacked:.2f}x the one-at-a-time speed")
@@ -190,22 +202,19 @@ def _stack_table(weights, repeats):
 
 def _values_only_row(label, shape, repeats):
     at0 = _operands(np.random.default_rng(0).normal(size=shape))
-    full = (at0.copy(), np.eye(at0.shape[0]))
-    values = (at0.copy(), np.empty((at0.shape[0], 0)))
-    best = {"full": float("inf"), "values": float("inf")}
+    best, outs = {True: float("inf"), False: float("inf")}, {}
     for _ in range(repeats):
-        outs = {}
-        for name, (a, v) in (("full", full), ("values", values)):
-            at, vt = a.copy(), v.copy()
-            start = time.perf_counter()
-            sweeps, worst, converged = kernels.jacobi_sweeps(at, vt, 1e-12, 60)
-            best[name] = min(best[name], time.perf_counter() - start)
-            assert converged
-            outs[name] = (at.tobytes(), sweeps, np.float64(worst).tobytes())
-        assert outs["values"] == outs["full"], f"{label}: values-only and full kernels differ"
-    peaks = [_peak_kb(kernels.jacobi_sweeps, [(a.copy(), v.copy())]) for a, v in (full, values)]
-    print(f"{label:>12} {outs['full'][1]:>6} {best['full']:>9.4f} {best['values']:>11.4f} "
-          f"{best['full'] / best['values']:>8.2f}x {peaks[0]:>8.0f} {peaks[1]:>10.0f}")
+        for compute_uv in (True, False):
+            elapsed, (at, _, sweeps, worst, converged) = _timed(
+                kernels.jacobi_sweeps, [at0], compute_uv, 1e-12, 60)
+            best[compute_uv] = min(best[compute_uv], elapsed)
+            assert converged[0]
+            outs[compute_uv] = (at.tobytes(), int(sweeps[0]), worst.tobytes())
+        assert outs[False] == outs[True], f"{label}: values-only and full kernels differ"
+    peaks = [_peak_kb(kernels.jacobi_sweeps, [at0], compute_uv, 1e-12, 60)
+             for compute_uv in (True, False)]
+    print(f"{label:>12} {outs[True][1]:>6} {best[True]:>9.4f} {best[False]:>11.4f} "
+          f"{best[True] / best[False]:>8.2f}x {peaks[0]:>8.0f} {peaks[1]:>10.0f}")
 
 
 # One child's first and second `svd_many` of the weights saved at argv[1]:

@@ -53,13 +53,10 @@ def atomic_open(path, mode="wb", **kwargs):
 
 
 def write_weights_stream(fh, tensors):
-    names = list(tensors)
-    if len(set(names)) != len(names):
-        raise ConfigError("tensor names must be unique")
     fh.write(WEIGHT_MAGIC)
-    fh.write(struct.pack("<HI", FORMAT_VERSION, len(names)))
-    for name in names:
-        arr = np.asarray(tensors[name])
+    fh.write(struct.pack("<HI", FORMAT_VERSION, len(tensors)))
+    for name, arr in tensors.items():
+        arr = np.asarray(arr)
         if arr.dtype not in _CODE_FOR:
             raise ConfigError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
         if not np.all(np.isfinite(arr)):

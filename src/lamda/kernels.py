@@ -4,7 +4,9 @@ The one-sided cyclic Jacobi sweep (Hestenes 1958) dominates SVD runtime;
 `benchmarks/bench_svd.py` times it against the scalar loop it replaces.
 
 The kernel operates on the *transposed* factor matrices so that every
-column of the working matrix is a contiguous row (`at[p]`).
+column of the working matrix is a contiguous row (`at[p]`). The kernel
+copies the caller's operands into one buffer, each problem's n rows of
+[at | vt] after the previous problem's, and returns views of it.
 
 A cyclic sweep visits (0, 1), (0, 2), ..., (n-2, n-1), one rotation at a
 time. Rotations on disjoint rows commute, so the sweeps run as wavefronts
@@ -28,29 +30,29 @@ B n x m problems, and a wave whose gathered rows pass 32 MB per array
 (n of about 2048 for one square problem) maps its temporaries anew.
 
 Each numpy step costs a few microseconds whatever its size, and a toy
-64 x 64 problem takes about 700 of them, so one call can also sweep a
-stack of B independent problems of one shape. Their rows share one work
-array, each wave gathers the same pairs of every problem (row indices
-offset by the problem's first row), and every problem keeps its own worst
-value, convergence test and stop. A problem's pairs meet the same rows and
-the same arithmetic as in its own call, so its results are bit for bit the
-same; one problem is the case B = 1.
+64 x 64 problem takes about 700 of them, so one call sweeps a stack of B
+independent problems of one shape. Each wave gathers the same pairs of
+every problem (row indices offset by the problem's first row), and every
+problem keeps its own worst value, convergence test and stop. A problem's
+pairs meet the same rows and the same arithmetic as in its own call, so
+its results are bit for bit the same.
 
-The rotations' decisions read only the `at` part of each row, so `vt` may
-have zero columns: the kernel then computes singular values only (LAPACK's
-`DGESVJ` with JOBV='N'), with every bit of `at` and of the results as in
-the full run and about half the rotation work of a square problem. A wave
-gathers its rows as copies, rotates them in place and scatters them back.
+The rotations' decisions read only the `at` part of each row, so with
+`compute_uv` False the rows carry no `vt` columns: the kernel then
+computes singular values only (LAPACK's `DGESVJ` with JOBV='N'), with
+every bit of `at` and of the results as in the full run and about half
+the rotation work of a square problem. A wave gathers its rows as copies,
+rotates them in place and scatters them back.
 
 The loop tests convergence after each sweep, so the head of the next sweep
 runs speculatively. It is a no-op whenever the converged sweep rotated
 nothing. A converged sweep can still rotate pairs whose relative
 off-diagonal is NaN, because the worst value skips NaN, and each such
 rotation turns both rows NaN. So a problem whose `at` rows hold a NaN when
-it converges with the next sweep's head run starts again from its
-`at`/`vt` (left untouched until the final write-back) and stops at the
-converged sweep. `svd` hands over only finite operands in a range where
-no dot product overflows, so it never reruns.
+it converges with the next sweep's head run starts again from its operand,
+which the kernel never writes to, and stops at the converged sweep. `svd`
+hands over only finite operands in a range where no dot product
+overflows, so it never reruns.
 """
 
 import ctypes
@@ -189,7 +191,7 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
     worst = np.zeros(count)
     converged = np.zeros(count, dtype=bool)
     clean = np.ones(count, dtype=bool)
-    if max_sweeps < 1:
+    if max_sweeps < 1 or count == 0:
         return sweeps, worst, converged, clean
     n_eff = max(n, 1)  # no rows, like one row, means no pairs
     schedule = _schedule(n_eff)
@@ -227,37 +229,37 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
         g += 1
 
 
-def jacobi_sweeps(at, vt, tol, max_sweeps):
-    """Orthogonalize the rows of `at` in place via Jacobi rotations.
+def _fill(rows, at):
+    """One problem's rows [at | vt], from its untouched operand `at` and an
+    identity `vt` (with no columns for singular values only)."""
+    m = at.shape[1]
+    rows[:, :m] = at
+    rows[:, m:] = np.eye(*rows[:, m:].shape)
 
-    `at` is the n x m transpose of the working matrix (rows = original
-    columns), `vt` the n x n transpose of the accumulated rotation
-    product, both float64. Returns (sweeps_used,
-    worst_rel_offdiag_seen_last_sweep, converged). A pair (p, q) counts as
-    converged when |<a_p, a_q>| / (|a_p| * |a_q|) <= tol. A `vt` with zero
-    columns (n x 0) accumulates nothing: values only, with `at` and the
-    results bit for bit those of an n x n `vt`.
 
-    `at` may also be a (B, n, m) stack with `vt` (B, n, n) or (B, n, 0):
-    B independent problems of one shape, swept together. The result is
-    then three arrays of length B, and every problem's factors and results
-    are bit for bit those of its own 2-D call.
+def jacobi_sweeps(ats, compute_uv, tol, max_sweeps):
+    """Orthogonalize the rows of B operands of one shape via Jacobi rotations.
+
+    `ats` holds B n x m float64 operands, as a sequence or a (B, n, m)
+    array: the transposes of the working matrices (rows = original
+    columns). They are never written to. Returns (at, vt, sweeps, worst,
+    converged): `at` (B, n, m) holds the orthogonalized rows, `vt` the
+    transposes of the accumulated rotation products, (B, n, n), or (B, n, 0)
+    with `compute_uv` False; both are views of the kernel's one buffer. Per
+    problem, the sweeps used, the worst relative off-diagonal of the last
+    sweep and whether it converged: a pair (p, q) counts as converged when
+    |<a_p, a_q>| / (|a_p| * |a_q|) <= tol.
     """
-    stacked = at.ndim == 3
-    a3, v3 = (at, vt) if stacked else (at[None], vt[None])
-    count, n, m = a3.shape
+    count = len(ats)
+    n, m = ats[0].shape if count else np.shape(ats)[1:] or (0, 0)
+    work = np.empty((count, n, m + (n if compute_uv else 0)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # One gather and one rotation per wave: each problem's n rows of
-        # [at | vt] follow the previous problem's.
-        work = np.concatenate([a3, v3], axis=2).reshape(count * n, m + v3.shape[2])
-        sweeps, worst, converged, clean = _sweeps(work, count, n, m, tol, max_sweeps)
+        for rows, at in zip(work, ats):
+            _fill(rows, at)
+        flat = work.reshape(count * n, work.shape[2])
+        sweeps, worst, converged, clean = _sweeps(flat, count, n, m, tol, max_sweeps)
         for b in np.flatnonzero(~clean):  # undo its next sweep's speculative head:
-            rows = work[b * n:(b + 1) * n]  # rerun, stopping at the converged sweep
-            rows[...] = np.concatenate([a3[b], v3[b]], axis=1)
-            rerun = _sweeps(rows, 1, n, m, tol, sweeps[b])
+            _fill(work[b], ats[b])  # rerun, stopping at the converged sweep
+            rerun = _sweeps(work[b], 1, n, m, tol, sweeps[b])
             sweeps[b], worst[b], converged[b] = (x[0] for x in rerun[:3])
-    a3[...] = work[:, :m].reshape(count, n, m)
-    v3[...] = work[:, m:].reshape(v3.shape)
-    if stacked:
-        return sweeps, worst, converged
-    return int(sweeps[0]), float(worst[0]), bool(converged[0])
+    return work[:, :, :m], work[:, :, m:], sweeps, worst, converged

@@ -67,31 +67,27 @@ def svd(w, compute_uv=True):
 def svd_many(weights, compute_uv=True):
     """`svd` of every matrix of a {key: matrix} map, as {key: decomposition}.
 
-    Every matrix is checked before any is decomposed. Matrices whose kernel
-    operands have one shape are swept as one stack (`kernels.jacobi_sweeps`),
-    and each decomposition is bit for bit that of the matrix's own call.
+    Every matrix is checked before any is decomposed. The kernel operands
+    (`work.T`: rows are working columns) of one shape are swept as one stack
+    by `kernels.jacobi_sweeps`, which never writes to them, and each
+    decomposition is bit for bit that of the matrix's own call. An operand
+    is dropped once its stack is swept.
     """
     operands = {key: _operand(key, w) for key, w in weights.items()}
     groups = {}
     for key, (work, _, _) in operands.items():
         groups.setdefault(work.T.shape, []).append(key)
     decs = {}
-    for (k, m), keys in groups.items():
-        # The stack is a copy: the kernel works in place and must never
-        # touch a caller's buffer (work.T can alias a contiguous input).
-        at = np.empty((len(keys), k, m))
-        for b, key in enumerate(keys):
-            at[b] = operands[key][0].T  # rows are working columns
-        vt = (np.broadcast_to(np.eye(k), at.shape[:1] + (k, k)).copy() if compute_uv
-              else np.empty(at.shape[:1] + (k, 0)))
-        _, worst, converged = jacobi_sweeps(at, vt, DEFAULT_TOL, MAX_SWEEPS)
+    for keys in groups.values():
+        at, vt, _, worst, converged = jacobi_sweeps(
+            [operands[key][0].T for key in keys], compute_uv, DEFAULT_TOL, MAX_SWEEPS)
         for b, key in enumerate(keys):
             if not converged[b]:
                 raise NumericalError(
                     f"jacobi svd of {key!r} did not converge in {MAX_SWEEPS} sweeps "
                     f"(relative off-diagonal {worst[b]:.3e})"
                 )
-            decs[key] = _factors(key, at[b], vt[b], *operands[key][1:])
+            decs[key] = _factors(key, at[b], vt[b], *operands.pop(key)[1:])
     return {key: decs[key] for key in weights}
 
 

@@ -70,13 +70,13 @@ class TestAnalyzePlan:
         assert "L9.zz" in capsys.readouterr().err
 
     def test_decomposes_singular_values_only(self, tmp_path, monkeypatch, weights_file):
-        """analyze reads only sigma: one kernel call per matrix, each with a
-        zero-column vt, and the outputs of full decompositions, byte for byte."""
-        kernel, vt_shapes = sys.modules["lamda.svd"].jacobi_sweeps, []
+        """analyze reads only sigma: one kernel call per matrix, each with
+        compute_uv False, and the outputs of full decompositions, byte for byte."""
+        kernel, calls = sys.modules["lamda.svd"].jacobi_sweeps, []
 
-        def spied(at, vt, *args):
-            vt_shapes.append(vt.shape)
-            return kernel(at, vt, *args)
+        def spied(ats, compute_uv, *args):
+            calls.append((len(ats), ats[0].shape, compute_uv))
+            return kernel(ats, compute_uv, *args)
 
         monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps", spied)
         outputs = []
@@ -88,7 +88,7 @@ class TestAnalyzePlan:
             outputs.append((scores.read_bytes(), energy.read_bytes()))
             full_svd = cli.svd
             monkeypatch.setattr(cli, "svd", lambda w, compute_uv: full_svd(w))
-        assert vt_shapes == [(1, 16, 0)] * 4 + [(1, 16, 16)] * 4
+        assert calls == [(1, (16, 16), False)] * 4 + [(1, (16, 16), True)] * 4
         assert outputs[0] == outputs[1]
 
     def test_missing_file_is_usage_error(self, tmp_path):
@@ -124,7 +124,7 @@ class TestAnalyzePlan:
                                           "L0.v": rng.normal(size=(8, 16))})
         calls = []
         monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
-                            lambda at, *args: calls.append(at.shape))
+                            lambda ats, *args: calls.append(len(ats)))
         scores = tmp_path / "scores.json"
         assert run_cli("analyze", "--weights", str(weights), "--ranks", "4,8,12",
                        "--target", "8", "--scores-out", str(scores)) == 2
@@ -145,7 +145,7 @@ class TestAnalyzePlan:
                                                        weights_file, argv, named):
         calls = []
         monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
-                            lambda at, *args: calls.append(at.shape))
+                            lambda ats, *args: calls.append(len(ats)))
         scores, energy = tmp_path / "scores.json", tmp_path / "energy.csv"
         assert run_cli("analyze", "--weights", str(weights_file), "--ranks", "2,4,6",
                        "--target", "4", "--scores-out", str(scores),
@@ -536,7 +536,7 @@ class TestFinetuneReport:
         cfg = _run_config(tmp_path, model=dict(model, **overrides))
         calls = []
         monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
-                            lambda at, *args: calls.append(at.shape))
+                            lambda ats, *args: calls.append(len(ats)))
         out = tmp_path / "o"
         assert run_cli("finetune", "--config", str(cfg), "--backbone", str(backbone),
                        "--out-dir", str(out)) == 2
@@ -636,7 +636,7 @@ class TestFinetuneReport:
         # allocation fails at once and touches no memory.
         calls = []
         monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
-                            lambda at, *args: calls.append(at.shape))
+                            lambda ats, *args: calls.append(len(ats)))
         cfg = _run_config(tmp_path, model={"layers": 1, "d_model": 16, "heads": 2,
                                            "ffn_dim": 32, "vocab": 10**15, "context": 8})
         out = tmp_path / "o"

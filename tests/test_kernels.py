@@ -17,10 +17,11 @@ from lamda.svd import svd
 _CASES = ((0, (12, 8)), (1, (8, 8)), (2, (40, 16)))
 
 
-def _python(code, **env):
+def _python(code, timeout=None, **env):
     """Run `code` in a fresh interpreter that can import this module; return stdout.
 
-    Each keyword sets that environment variable, or unsets it when None.
+    The child is killed after `timeout` seconds, if given. Every other
+    keyword sets that environment variable, or unsets it when None.
     """
     full = dict(os.environ)
     full["PYTHONPATH"] = os.pathsep.join(
@@ -32,7 +33,7 @@ def _python(code, **env):
         else:
             full[key] = value
     return subprocess.run([sys.executable, "-c", code], check=True, env=full,
-                          stdout=subprocess.PIPE, text=True).stdout
+                          stdout=subprocess.PIPE, text=True, timeout=timeout).stdout
 
 
 def _sha256(a):
@@ -43,10 +44,8 @@ def _kernel_runs():
     runs = []
     for seed, shape in _CASES:
         w = np.random.default_rng(seed).normal(size=shape)
-        at = np.array(w.T, order="C", copy=True)
-        vt = np.eye(at.shape[0])
-        sweeps, _, converged = kernels.jacobi_sweeps(at, vt, 1e-12, 60)
-        runs.append((w, at, vt, sweeps, converged))
+        at, vt, sweeps, _, converged = kernels.jacobi_sweeps([w.T], True, 1e-12, 60)
+        runs.append((w, at[0], vt[0], int(sweeps[0]), bool(converged[0])))
     return runs
 
 
@@ -82,10 +81,9 @@ def test_kernel_bits_do_not_depend_on_blas_threads():
 def test_kernel_orthogonalizes_rows():
     rng = np.random.default_rng(3)
     w = rng.normal(size=(20, 10))
-    at = np.array(w.T, order="C", copy=True)
-    vt = np.eye(10)
-    _, worst, converged = kernels.jacobi_sweeps(at, vt, 1e-12, 60)
-    assert converged and worst <= 1e-12
+    at, vt, _, worst, converged = kernels.jacobi_sweeps([w.T], True, 1e-12, 60)
+    at, vt = at[0], vt[0]
+    assert converged[0] and worst[0] <= 1e-12
     gram = at @ at.T
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() <= 1e-10 * np.abs(np.diag(gram)).max()
@@ -139,7 +137,7 @@ def _hadamard_with_nan():
 
 
 def _svd_operands(w):
-    """The `at` that svd hands the kernel for weight w."""
+    """A C-contiguous copy of the operand that svd hands the kernel for weight w."""
     work = w.T if w.shape[1] > w.shape[0] else w
     return np.array(work.T, order="C", copy=True)
 
@@ -184,18 +182,27 @@ def rollbacks(monkeypatch):
     return count
 
 
-def _run(sweeps_fn, at0, tol, max_sweeps):
-    """(at, vt, sweeps, worst, converged) bytes from one 2-D call."""
+def _loop_run(at0, tol, max_sweeps):
+    """(at, vt, sweeps, worst, converged) bytes from the scalar loop, which
+    works in place on a copy of at0 and an identity vt."""
     at, vt = at0.copy(), np.eye(at0.shape[0])
     with np.errstate(all="ignore"):
-        sweeps, worst, converged = sweeps_fn(at, vt, tol, max_sweeps)
+        sweeps, worst, converged = oracles.jacobi_sweeps_cyclic_ref(at, vt, tol, max_sweeps)
     return _sha256(at), _sha256(vt), sweeps, np.float64(worst).tobytes(), bool(converged)
 
 
+def _stacked_runs(ats, tol, max_sweeps, compute_uv=True):
+    """Per problem, (at, vt, sweeps, worst, converged) bytes from one kernel call."""
+    with np.errstate(all="ignore"):
+        at, vt, sweeps, worst, converged = kernels.jacobi_sweeps(ats, compute_uv, tol, max_sweeps)
+    return [(_sha256(at[b]), _sha256(vt[b]), int(sweeps[b]), np.float64(worst[b]).tobytes(),
+             bool(converged[b])) for b in range(len(ats))]
+
+
 def _both_kernels(at0, tol, max_sweeps):
-    """(at, vt, sweeps, worst, converged) bytes from the kernel and the loop."""
-    return [_run(sweeps_fn, at0, tol, max_sweeps)
-            for sweeps_fn in (kernels.jacobi_sweeps, oracles.jacobi_sweeps_cyclic_ref)]
+    """(at, vt, sweeps, worst, converged) bytes from the kernel, as a stack of
+    one, and from the loop."""
+    return [_stacked_runs([at0], tol, max_sweeps)[0], _loop_run(at0, tol, max_sweeps)]
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
@@ -256,19 +263,9 @@ def test_fuzz_bitwise_equals_cyclic_loop(rollbacks):
     assert rollbacks[0] > 0
 
 
-def _stacked_runs(ats, tol, max_sweeps):
-    """Per problem, (at, vt, sweeps, worst, converged) bytes from one stacked call."""
-    at = np.stack(ats)
-    vt = np.stack([np.eye(a.shape[0]) for a in ats])
-    with np.errstate(all="ignore"):
-        sweeps, worst, converged = kernels.jacobi_sweeps(at, vt, tol, max_sweeps)
-    return [(_sha256(at[b]), _sha256(vt[b]), int(sweeps[b]), np.float64(worst[b]).tobytes(),
-             bool(converged[b])) for b in range(len(ats))]
-
-
 def _loop_runs(ats, tol, max_sweeps):
     """Per problem, (at, vt, sweeps, worst, converged) bytes from the scalar loop."""
-    return [_run(oracles.jacobi_sweeps_cyclic_ref, at, tol, max_sweeps) for at in ats]
+    return [_loop_run(at, tol, max_sweeps) for at in ats]
 
 
 def _square(seed, n):
@@ -307,17 +304,6 @@ def test_stack_bitwise_equals_cyclic_loop_per_problem(case, rollbacks):
     assert rollbacks[0] == (case in ("nan-rollback-in-stack", "rows-of-length-1"))
 
 
-def test_two_dimensional_call_is_the_one_problem_stack():
-    at0 = _square(60, 16)
-    at2, vt2 = at0.copy(), np.eye(16)
-    flat = kernels.jacobi_sweeps(at2, vt2, 1e-12, 60)
-    at3, vt3 = at0[None].copy(), np.eye(16)[None].copy()
-    stacked = kernels.jacobi_sweeps(at3, vt3, 1e-12, 60)
-    assert isinstance(flat[0], int) and isinstance(flat[1], float) and isinstance(flat[2], bool)
-    assert [x[0] for x in stacked] == list(flat)
-    assert at3[0].tobytes() == at2.tobytes() and vt3[0].tobytes() == vt2.tobytes()
-
-
 def test_fuzz_stacks_bitwise_equal_cyclic_loop(rollbacks):
     """Stacks of one to five small problems of one shape, with the special
     values, zero and duplicate rows, tolerances and sweep caps of the
@@ -343,15 +329,45 @@ def test_fuzz_stacks_bitwise_equal_cyclic_loop(rollbacks):
     assert rollbacks[0] > 0
 
 
-def _values_only_runs(ats, tol, max_sweeps):
-    """Per problem, (at, sweeps, worst, converged) bytes from one stacked call
-    with a zero-column vt."""
-    at = np.stack(ats)
-    vt = np.empty(at.shape[:2] + (0,))
-    with np.errstate(all="ignore"):
-        sweeps, worst, converged = kernels.jacobi_sweeps(at, vt, tol, max_sweeps)
-    return [(_sha256(at[b]), int(sweeps[b]), np.float64(worst[b]).tobytes(), bool(converged[b]))
-            for b in range(len(ats))]
+# Empty stacks of both forms, with compute_uv True and False; prints each
+# result's shapes.
+_EMPTY_STACKS = """
+import numpy as np
+from lamda import kernels
+for ats in (np.empty((0, 4, 4)), []):
+    for compute_uv in (True, False):
+        print([x.shape for x in kernels.jacobi_sweeps(ats, compute_uv, 1e-12, 60)])
+print(kernels._sweeps(np.empty((0, 8)), 0, 4, 4, 1e-12, 60)[0].shape)
+"""
+
+
+def test_empty_stack_returns_at_once():
+    """B = 0 returns length-0 results (at once: a hang fails on the timeout)."""
+    assert _python(_EMPTY_STACKS, timeout=60).splitlines() == [
+        "[(0, 4, 4), (0, 4, 4), (0,), (0,), (0,)]",
+        "[(0, 4, 4), (0, 4, 0), (0,), (0,), (0,)]",
+        "[(0, 0, 0), (0, 0, 0), (0,), (0,), (0,)]",
+        "[(0, 0, 0), (0, 0, 0), (0,), (0,), (0,)]",
+        "(0,)",
+    ]
+
+
+def test_read_only_operands_are_left_untouched(rollbacks):
+    """The kernel reads its operands and writes only its own buffer: read-only
+    operands, one of them the transposed view of a C-contiguous matrix as
+    svd hands it over, give the scalar loop's bytes, the NaN problem reruns
+    from its operand, and every operand keeps its bytes."""
+    w = _rng_normal(61, (8, 8))
+    w.flags.writeable = False
+    ats = [w.T, _square(62, 8), _hadamard_with_nan()]
+    for at in ats[1:]:
+        at.flags.writeable = False
+    before = [at.tobytes() for at in ats]
+    want = _loop_runs(ats, 1e-12, 60)
+    assert _stacked_runs(ats, 1e-12, 60) == want
+    assert _without_vt(_stacked_runs(ats, 1e-12, 60, compute_uv=False)) == _without_vt(want)
+    assert rollbacks[0] == 2
+    assert [at.tobytes() for at in ats] == before
 
 
 def _without_vt(runs):
@@ -360,30 +376,27 @@ def _without_vt(runs):
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_values_only_bitwise_equals_full_run_and_cyclic_loop(case, rollbacks):
-    """A 2-D call with an n x 0 vt leaves at, and returns the sweeps, worst
-    off-diagonal and convergence flag, of the identity-vt run and of the
-    scalar loop, bit for bit; the NaN cases rerun their speculative head."""
+    """A values-only call (compute_uv False) leaves at, and returns the
+    sweeps, worst off-diagonal and convergence flag, of the full run and of
+    the scalar loop, bit for bit; the NaN cases rerun their speculative head."""
     at0, max_sweeps = _ORACLE_CASES[case]
     want = _without_vt(_both_kernels(at0, 1e-12, max_sweeps))
     rollbacks[0] = 0
-    at, vt = at0.copy(), np.empty((at0.shape[0], 0))
-    with np.errstate(all="ignore"):
-        sweeps, worst, converged = kernels.jacobi_sweeps(at, vt, 1e-12, max_sweeps)
-    got = (_sha256(at), sweeps, np.float64(worst).tobytes(), bool(converged))
-    assert [got, got] == want
+    got = _without_vt(_stacked_runs([at0], 1e-12, max_sweeps, compute_uv=False))
+    assert got * 2 == want
     assert rollbacks[0] == (case in ("nan-entry", "nan-rollback"))
 
 
 @pytest.mark.parametrize("case", list(_STACK_CASES))
 def test_values_only_stack_bitwise_equals_full_run_and_cyclic_loop(case, rollbacks):
-    """A (B, n, 0) vt leaves every problem's at and results as the
-    identity-vt stack and the scalar loop do, and the problem with a NaN
-    reruns its speculative head."""
+    """A values-only stack, whose vt is (B, n, 0), leaves every problem's at
+    and results as the full stack and the scalar loop do, and the problem
+    with a NaN reruns its speculative head."""
     ats, max_sweeps = _STACK_CASES[case]
     full = _without_vt(_stacked_runs(ats, 1e-12, max_sweeps))
     assert full == _without_vt(_loop_runs(ats, 1e-12, max_sweeps))
     rollbacks[0] = 0
-    assert _values_only_runs(ats, 1e-12, max_sweeps) == full
+    assert _without_vt(_stacked_runs(ats, 1e-12, max_sweeps, compute_uv=False)) == full
     assert rollbacks[0] == (case in ("nan-rollback-in-stack", "rows-of-length-1"))
 
 

@@ -144,9 +144,9 @@ class TestSvdMany:
         svd_module = sys.modules["lamda.svd"]  # `lamda.svd` names the function
         kernel, calls = svd_module.jacobi_sweeps, []
 
-        def counted(at, *args):
-            calls.append(at.shape)
-            return kernel(at, *args)
+        def counted(ats, *args):
+            calls.append((len(ats), *ats[0].shape))
+            return kernel(ats, *args)
 
         monkeypatch.setattr(svd_module, "jacobi_sweeps", counted)
         return calls
@@ -280,35 +280,35 @@ class TestValuesOnly:
     }
 
     @pytest.fixture
-    def vt_shapes(self, monkeypatch):
+    def kernel_calls(self, monkeypatch):
         svd_module = sys.modules["lamda.svd"]  # `lamda.svd` names the function
-        kernel, shapes = svd_module.jacobi_sweeps, []
+        kernel, calls = svd_module.jacobi_sweeps, []
 
-        def spied(at, vt, *args):
-            shapes.append(vt.shape)
-            return kernel(at, vt, *args)
+        def spied(ats, compute_uv, *args):
+            calls.append((len(ats), ats[0].shape, compute_uv))
+            return kernel(ats, compute_uv, *args)
 
         monkeypatch.setattr(svd_module, "jacobi_sweeps", spied)
-        return shapes
+        return calls
 
     @pytest.mark.parametrize("kind", list(INPUTS))
-    def test_sigma_equals_the_full_decomposition_bitwise(self, kind, vt_shapes):
+    def test_sigma_equals_the_full_decomposition_bitwise(self, kind, kernel_calls):
         w = self.INPUTS[kind]
         full, values = svd(w), svd(w, compute_uv=False)
         assert values.u is None and values.v is None
         assert values.sigma.tobytes() == full.sigma.tobytes()
-        k = min(w.shape)
-        assert vt_shapes == [(1, k, k), (1, k, 0)]
+        operand = (min(w.shape), max(w.shape))
+        assert kernel_calls == [(1, operand, True), (1, operand, False)]
         # Each kind reaches the branch it is here for.
         _, flipped, exponent = sys.modules["lamda.svd"]._operand(kind, w)
         assert (full.sigma[-2:] == 0.0).all() == (kind == "rank-deficient")
         assert flipped == (kind in ("wide", "row"))
         assert (exponent != 0) == (kind == "huge")
 
-    def test_svd_many_equals_svd_key_by_key_bitwise(self, vt_shapes):
+    def test_svd_many_equals_svd_key_by_key_bitwise(self, kernel_calls):
         many = svd_many(self.INPUTS, compute_uv=False)
         assert list(many) == list(self.INPUTS)
-        assert all(shape[2] == 0 for shape in vt_shapes)
+        assert kernel_calls and not any(compute_uv for _, _, compute_uv in kernel_calls)
         for key, w in self.INPUTS.items():
             assert many[key].u is None and many[key].v is None
             assert many[key].sigma.tobytes() == svd(w).sigma.tobytes(), key

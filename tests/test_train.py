@@ -306,9 +306,9 @@ class TestResolveRanks:
         kernel = svd_module.jacobi_sweeps
         calls = []
 
-        def counting_kernel(*args):
-            calls.append(args[0].shape)
-            return kernel(*args)
+        def counting_kernel(ats, *args):
+            calls.append((len(ats), *ats[0].shape))
+            return kernel(ats, *args)
 
         monkeypatch.setattr(svd_module, "jacobi_sweeps", counting_kernel)
         cfg = TrainRunConfig(method="lamda++", budget_ranks=(4, 8, 12), budget_target=8,
@@ -334,15 +334,15 @@ class TestResolveRanks:
 
     def test_lamdapp_kaiming_scores_from_values_only(self, monkeypatch, tmp_path):
         """With kaiming init only the budget scoring reads the SVDs, and it
-        reads sigma alone: the kernel gets zero-column vts, and the run's
+        reads sigma alone: every kernel call has compute_uv False, and the run's
         metrics and checkpoint bytes are those of a run with full
         decompositions."""
         svd_module = sys.modules["lamda.svd"]  # `lamda.svd` names the function
-        kernel, vt_shapes = svd_module.jacobi_sweeps, []
+        kernel, calls = svd_module.jacobi_sweeps, []
 
-        def spied(at, vt, *args):
-            vt_shapes.append(vt.shape)
-            return kernel(at, vt, *args)
+        def spied(ats, compute_uv, *args):
+            calls.append((len(ats), ats[0].shape, compute_uv))
+            return kernel(ats, compute_uv, *args)
 
         monkeypatch.setattr(svd_module, "jacobi_sweeps", spied)
         cfg = TrainRunConfig(method="lamda++", init_mode="kaiming", budget_ranks=(2, 4, 6),
@@ -357,7 +357,8 @@ class TestResolveRanks:
             monkeypatch.setattr("lamda.train.svd_many",
                                 lambda weights, compute_uv: svd_many(weights))
         # q, k, v sweep 16 x 16 operands; ffn1 and ffn2 16 x 32 ones.
-        assert vt_shapes == [(3, 16, 0), (2, 16, 0), (3, 16, 16), (2, 16, 16)]
+        assert calls == [(3, (16, 16), False), (2, (16, 32), False),
+                         (3, (16, 16), True), (2, (16, 32), True)]
         assert checkpoints[0] == checkpoints[1]
 
     @pytest.mark.parametrize("bad", [
@@ -373,7 +374,7 @@ class TestResolveRanks:
         checked against the weights before the run's one batched SVD."""
         calls = []
         monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
-                            lambda at, *args: calls.append(at.shape))
+                            lambda ats, *args: calls.append(len(ats)))
         with pytest.raises(ConfigError):
             build_run(TrainRunConfig(model=SMALL, **bad))
         assert calls == []
@@ -387,7 +388,7 @@ class TestResolveRanks:
         """train() makes the task before build_run decomposes any weight."""
         calls = []
         monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
-                            lambda at, *args: calls.append(at.shape))
+                            lambda ats, *args: calls.append(len(ats)))
         task = task.replace("missing.txt", str(tmp_path / "missing.txt"))
         model = ToyTransformerConfig(**dict(vars(SMALL), context=context))
         with pytest.raises((ConfigError, FileNotFoundError)):
