@@ -75,7 +75,12 @@ def cmd_analyze(args):
     # an empty matrix is left to svd's own check.
     accounting.module_ranks({n: matrices[n].shape for n in names if matrices[n].size},
                             budget.ranks[-1])
-    decompositions = {n: svd(matrices[n], compute_uv=False) for n in names}
+    decompositions = {}
+    for n in names:
+        try:
+            decompositions[n] = svd(matrices[n], compute_uv=False)
+        except LamdaError as exc:  # svd names its one input 'matrix'
+            raise type(exc)(str(exc).replace(repr("matrix"), repr(n))) from None
 
     scores = allocator.score_modules(decompositions, budget)
     _write_json(args.scores_out, {"modules": [vars(m) for m in scores]})
@@ -172,12 +177,15 @@ def cmd_report(args):
     series = {}
     for run in runs:
         path = os.path.join(args.runs, run, "metrics.csv")
-        with open(path, encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for column in ("step", "loss", "live_params"):
-                if column not in (reader.fieldnames or ()):
-                    raise ConfigError(f"{path} has no {column!r} column")
-            rows = list(reader)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                fields, rows = reader.fieldnames or (), list(reader)
+        except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field too long
+            raise ConfigError(f"{path}: {exc}") from None
+        for column in ("step", "loss", "live_params"):
+            if column not in fields:
+                raise ConfigError(f"{path} has no {column!r} column")
         series[run] = {}
         for r in rows:
             try:
@@ -186,7 +194,7 @@ def cmd_report(args):
                 raise ConfigError(f"{path}: every step must be an integer") from None
             if None in r or None in r.values():
                 raise ConfigError(f"{path}: the row of step {step} does not have "
-                                  f"the header's {len(reader.fieldnames)} fields")
+                                  f"the header's {len(fields)} fields")
             if step in series[run]:
                 raise ConfigError(f"{path}: step {step} appears more than once")
             series[run][step] = r

@@ -89,20 +89,21 @@ _set_malloc_thresholds()
 
 @functools.cache
 def _schedule(n):
-    """Per r in range(n), (ip, iq, k_old) for global wave s*n + r: the p and
-    q rows of sweep s - 1's pairs (the first k_old) and then of sweep s's."""
+    """(ip, iq, waves): the p and q rows of every pair, wave after wave, and
+    per r in range(n), (cut, k_old) for global wave s*n + r, whose pairs are
+    ip[cut], iq[cut]: sweep s - 1's (the first k_old) and then sweep s's."""
     def antidiagonal(total):
         return [(p, total - p) for p in range(n) if p < total - p < n]
 
     waves = [(antidiagonal(r + n + 1), antidiagonal(r + 1)) for r in range(n)]
-    # Every wave is a view of one block: n pairs of small arrays, made amid
+    # Every wave is a slice of one block: n pairs of small arrays, made amid
     # the first SVD's temporaries and kept for good, fragment the heap
     # (about 3 MB more peak RSS over a run of toy fine-tunes).
     rows = np.array([pair for old, new in waves for pair in old + new], dtype=np.intp)
     ip, iq = rows.reshape(-1, 2).T.copy()
     ip.flags.writeable = iq.flags.writeable = False
-    bounds = np.cumsum([len(old) + len(new) for old, new in waves])[:-1]
-    return tuple(zip(np.split(ip, bounds), np.split(iq, bounds), (len(old) for old, _ in waves)))
+    starts = np.cumsum([0] + [len(old) + len(new) for old, new in waves]).tolist()
+    return ip, iq, [(slice(a, b), len(old)) for a, b, (old, _) in zip(starts, starts[1:], waves)]
 
 
 def _dots(x, y):
@@ -164,18 +165,13 @@ def _wave(work, m, tol, ip, iq, k, out):
     work[iq] = rp
 
 
-def _offset_waves(schedule, base):
+def _offset_waves(n, base):
     """The schedule's waves for the problems whose rows start at `base`:
     per r, (A, P) row indices, one row of pairs per problem, and k_old.
     Every wave is a view of one block per index array."""
-    base = base[:, None]
-    ip, iq = (np.concatenate([wave[i] for wave in schedule]) + base for i in (0, 1))
-    waves, start = [], 0
-    for wave in schedule:
-        stop = start + wave[0].size
-        waves.append((ip[:, start:stop], iq[:, start:stop], wave[2]))
-        start = stop
-    return waves
+    ip, iq, waves = _schedule(n)
+    ip, iq = ip + base[:, None], iq + base[:, None]
+    return [(ip[:, cut], iq[:, cut], k) for cut, k in waves]
 
 
 def _sweeps(work, count, n, m, tol, max_sweeps):
@@ -194,14 +190,13 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
     if max_sweeps < 1 or count == 0:
         return sweeps, worst, converged, clean
     n_eff = max(n, 1)  # no rows, like one row, means no pairs
-    schedule = _schedule(n_eff)
     lag = max(2 * n_eff - 4, 0)  # global waves from a sweep's first to its last
     # Sweep f's worst values, one column per running problem, are in
     # worst_of[f % 2]: row r from its newer pairs in wave f*n + r, row n + r
     # from its older pairs in wave (f + 1)*n + r, and 0 where it has none.
     worst_of = np.zeros((2, 2 * n_eff, count))
     live = np.arange(count)  # problems still sweeping
-    waves = _offset_waves(schedule, n * live)
+    waves = _offset_waves(n_eff, n * live)
     g = 0
     while True:
         s, r = divmod(g, n_eff)
@@ -225,7 +220,7 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
                 if live.size == 0:
                     return sweeps, worst, converged, clean
                 worst_of = worst_of[:, :, ~stop]
-                waves = _offset_waves(schedule, n * live)
+                waves = _offset_waves(n_eff, n * live)
         g += 1
 
 

@@ -68,19 +68,19 @@ def svd_many(weights, compute_uv=True):
     """`svd` of every matrix of a {key: matrix} map, as {key: decomposition}.
 
     Every matrix is checked before any is decomposed. The kernel operands
-    (`work.T`: rows are working columns) of one shape are swept as one stack
-    by `kernels.jacobi_sweeps`, which never writes to them, and each
+    (rows are working columns) of one shape are swept as one stack by
+    `kernels.jacobi_sweeps`, which never writes to them, and each
     decomposition is bit for bit that of the matrix's own call. An operand
     is dropped once its stack is swept.
     """
     operands = {key: _operand(key, w) for key, w in weights.items()}
     groups = {}
-    for key, (work, _, _) in operands.items():
-        groups.setdefault(work.T.shape, []).append(key)
+    for key, (operand, _, _) in operands.items():
+        groups.setdefault(operand.shape, []).append(key)
     decs = {}
     for keys in groups.values():
         at, vt, _, worst, converged = jacobi_sweeps(
-            [operands[key][0].T for key in keys], compute_uv, DEFAULT_TOL, MAX_SWEEPS)
+            [operands[key][0] for key in keys], compute_uv, DEFAULT_TOL, MAX_SWEEPS)
         for b, key in enumerate(keys):
             if not converged[b]:
                 raise NumericalError(
@@ -92,9 +92,10 @@ def svd_many(weights, compute_uv=True):
 
 
 def _operand(key, w):
-    """(work, flipped, exponent) for one checked matrix: work's columns are
-    the k side, scaled by 2**exponent when the matrix leaves the kernel's
-    safe range."""
+    """(operand, flipped, exponent) for one checked matrix: the kernel
+    operand has one row per singular value (the matrix's columns, or its
+    rows if flipped), scaled by 2**exponent when the matrix leaves the
+    kernel's safe range."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ConfigError(f"svd expects a matrix, got shape {w.shape} for {key!r}")
@@ -119,7 +120,7 @@ def _operand(key, w):
             )
         w = scaled
     flipped = w.shape[1] > w.shape[0]
-    return (w.T if flipped else w), flipped, exponent
+    return (w if flipped else w.T), flipped, exponent
 
 
 def _factors(key, at, vt, flipped, exponent):
@@ -154,22 +155,36 @@ def _factors(key, at, vt, flipped, exponent):
 
 def _complete_columns(u, start):
     """Fill u's zero columns from `start` on, one after another, with a
-    deterministic orthonormal completion that the later ones build on."""
+    deterministic orthonormal completion that the later ones build on: the
+    first unit vector whose residual against the columns before it keeps a
+    norm above 0.5, else the one with the largest residual, projected twice."""
     m, k = u.shape
     for j in range(start, k):
+        best_nrm = -1.0
         for i in range(m):
             cand = np.zeros(m)
             cand[i] = 1.0
-            for jj in range(k):
-                col = u[:, jj]
-                if jj != j and col @ col > 0.5:  # skip still-unfilled zero columns
-                    cand -= (cand @ col) * col
+            cand = _project_out(cand, u[:, :j])
             nrm = np.linalg.norm(cand)
             if nrm > 0.5:
-                u[:, j] = cand / nrm
                 break
+            if nrm > best_nrm:
+                best, best_nrm = cand, nrm
         else:
-            raise NumericalError("could not complete orthonormal basis")
+            # The squared residual norms sum to m - j, so with few directions
+            # left none may pass 0.5 (the largest can be as small as
+            # 1/sqrt(m)); one projection of the largest then loses too much
+            # orthogonality, and a second restores it.
+            cand = _project_out(best / best_nrm, u[:, :j])
+            nrm = np.linalg.norm(cand)
+        u[:, j] = cand / nrm
+
+
+def _project_out(cand, cols):
+    """`cand` less its projection on each of the orthonormal `cols`, in turn."""
+    for col in cols.T:
+        cand -= (cand @ col) * col
+    return cand
 
 
 def _fix_signs(u, v):

@@ -175,14 +175,30 @@ def singular_values_ref(w):
 _TINY = 1e-300
 
 
-def jacobi_sweeps_cyclic_ref(at, vt, tol, max_sweeps):
+def jacobi_sweeps_cyclic_ref(ats, compute_uv, tol, max_sweeps):
+    """`kernels.jacobi_sweeps` as the scalar cyclic loop, one rotation at a
+    time: the kernel's arguments and results, (at, vt, sweeps, worst,
+    converged), as fresh arrays. Each problem's loop runs in place on a copy
+    of its operand and an identity vt (with no columns when compute_uv is
+    False)."""
+    count = len(ats)
+    n, m = ats[0].shape if count else np.shape(ats)[1:] or (0, 0)
+    at = np.array(ats, dtype=np.float64).reshape(count, n, m)
+    vt = np.tile(np.eye(n, n if compute_uv else 0), (count, 1, 1))
+    sweeps, worst, converged = np.zeros(count, int), np.zeros(count), np.zeros(count, bool)
+    with np.errstate(all="ignore"):
+        for b in range(count):
+            sweeps[b], worst[b], converged[b] = _cyclic_loop(at[b], vt[b], tol, max_sweeps)
+    return at, vt, sweeps, worst, converged
+
+
+def _cyclic_loop(at, vt, tol, max_sweeps):
     """Orthogonalize the rows of `at` in place via Jacobi rotations.
 
     `at` is the n x m transpose of the working matrix (rows = original
-    columns), `vt` the n x n transpose of the accumulated rotation
-    product. Returns (sweeps_used, worst_rel_offdiag_seen_last_sweep,
-    converged). A pair (p, q) counts as converged when
-    |<a_p, a_q>| / (|a_p| * |a_q|) <= tol.
+    columns), `vt` the transpose of the accumulated rotation product.
+    Returns (sweeps_used, worst_rel_offdiag_seen_last_sweep, converged). A
+    pair (p, q) counts as converged when |<a_p, a_q>| / (|a_p| * |a_q|) <= tol.
     """
     n = at.shape[0]
     worst = 0.0

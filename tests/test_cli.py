@@ -1,12 +1,17 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lamda import accounting, cli, container
 from lamda.errors import NumericalError
@@ -29,6 +34,13 @@ def weights_file(tmp_path):
     path = tmp_path / "w.ldwt"
     container.write_weights(path, tensors)
     return path
+
+
+def _zero_row():
+    """A Gaussian 8x8 that svd cannot decompose (it does not converge)."""
+    w = np.random.default_rng(0).normal(size=(8, 8))
+    w[0] = 0.0
+    return w
 
 
 class TestAnalyzePlan:
@@ -182,6 +194,20 @@ class TestAnalyzePlan:
         assert run_cli("analyze", "--weights", str(weights), "--ranks", "1,2,3",
                        "--target", "2") == 3
         assert "orders of magnitude" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matrix, code, message", [
+        pytest.param(np.diag([1e300] + [1.0] * 6 + [1e-300]), 3, "orders of magnitude",
+                     id="no-scale-fits"),
+        pytest.param(np.zeros((64, 0)), 2, "non-empty", id="empty"),
+        pytest.param(_zero_row(), 3, "did not converge", id="no-convergence"),
+    ])
+    def test_svd_error_names_the_module(self, tmp_path, capsys, matrix, code, message):
+        weights = tmp_path / "w.ldwt"
+        container.write_weights(weights, {"L0.k": np.eye(8), "L0.q": matrix})
+        assert run_cli("analyze", "--weights", str(weights), "--ranks", "1,2,3",
+                       "--target", "2") == code
+        err = capsys.readouterr().err
+        assert message in err and "'L0.q'" in err and "'matrix'" not in err
 
 
 class TestCount:
@@ -644,6 +670,34 @@ class TestFinetuneReport:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
         assert calls == [] and not out.exists()
+
+
+_HEADER = b"step,loss,live_params,stored_activation_floats\n"
+_METRICS = _HEADER + b"0,0.5,10,4\n1,0.25,9,4\n"
+_one_byte_changed = st.tuples(st.integers(0, len(_METRICS) - 1), st.integers(0, 255)).map(
+    lambda at: _METRICS[:at[0]] + bytes([at[1]]) + _METRICS[at[0] + 1:])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(st.binary(max_size=200), _one_byte_changed,
+                 st.binary(max_size=200).map(lambda rows: _HEADER + rows)))
+@example(_HEADER + b"0,caf\xe9,10,4\n")  # not UTF-8
+@example(_HEADER + b"0," + b"9" * 131_073 + b",10,4\n")  # a field over csv's limit
+def test_report_on_any_metrics_bytes_merges_or_is_usage_error(raw):
+    """Whatever bytes one run's metrics.csv holds, `lamda report` exits 0, or
+    exits 2 with one `error:` line and writes no --out file; never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run = os.path.join(tmp, "runs", "a")
+        os.makedirs(run)
+        with open(os.path.join(run, "metrics.csv"), "wb") as fh:
+            fh.write(raw)
+        out, err = os.path.join(tmp, "merged.csv"), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("report", "--runs", os.path.dirname(run), "--out", out)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2) and "Traceback" not in err.getvalue()
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error:") and not os.path.exists(out)
 
 
 def test_console_entry_point(tmp_path):

@@ -138,8 +138,7 @@ def _hadamard_with_nan():
 
 def _svd_operands(w):
     """A C-contiguous copy of the operand that svd hands the kernel for weight w."""
-    work = w.T if w.shape[1] > w.shape[0] else w
-    return np.array(work.T, order="C", copy=True)
+    return np.array(w if w.shape[1] > w.shape[0] else w.T, order="C", copy=True)
 
 
 # (at, max_sweeps): svd's operands for a weight, or a raw `at`.
@@ -182,19 +181,14 @@ def rollbacks(monkeypatch):
     return count
 
 
-def _loop_run(at0, tol, max_sweeps):
-    """(at, vt, sweeps, worst, converged) bytes from the scalar loop, which
-    works in place on a copy of at0 and an identity vt."""
-    at, vt = at0.copy(), np.eye(at0.shape[0])
-    with np.errstate(all="ignore"):
-        sweeps, worst, converged = oracles.jacobi_sweeps_cyclic_ref(at, vt, tol, max_sweeps)
-    return _sha256(at), _sha256(vt), sweeps, np.float64(worst).tobytes(), bool(converged)
+KERNEL, LOOP = kernels.jacobi_sweeps, oracles.jacobi_sweeps_cyclic_ref
 
 
-def _stacked_runs(ats, tol, max_sweeps, compute_uv=True):
-    """Per problem, (at, vt, sweeps, worst, converged) bytes from one kernel call."""
+def _runs(sweep, ats, tol, max_sweeps, compute_uv=True):
+    """Per problem, (at, vt, sweeps, worst, converged) bytes from one call of
+    `sweep`: the kernel or the scalar loop, which take the same arguments."""
     with np.errstate(all="ignore"):
-        at, vt, sweeps, worst, converged = kernels.jacobi_sweeps(ats, compute_uv, tol, max_sweeps)
+        at, vt, sweeps, worst, converged = sweep(ats, compute_uv, tol, max_sweeps)
     return [(_sha256(at[b]), _sha256(vt[b]), int(sweeps[b]), np.float64(worst[b]).tobytes(),
              bool(converged[b])) for b in range(len(ats))]
 
@@ -202,7 +196,7 @@ def _stacked_runs(ats, tol, max_sweeps, compute_uv=True):
 def _both_kernels(at0, tol, max_sweeps):
     """(at, vt, sweeps, worst, converged) bytes from the kernel, as a stack of
     one, and from the loop."""
-    return [_stacked_runs([at0], tol, max_sweeps)[0], _loop_run(at0, tol, max_sweeps)]
+    return [_runs(sweep, [at0], tol, max_sweeps)[0] for sweep in (KERNEL, LOOP)]
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
@@ -229,10 +223,11 @@ def test_schedule_is_the_wavefront_rule_across_sweeps(n):
             for q in range(p + 1, n):
                 last[p] = last[q] = want[sweep, p, q] = max(last[p], last[q]) + 1
     got = {}
+    ip, iq, waves = kernels._schedule(n)
     for g in range(5 * n):
         s, r = divmod(g, n)
-        ip, iq, k = kernels._schedule(n)[r]
-        for j, (p, q) in enumerate(zip(ip.tolist(), iq.tolist())):
+        cut, k = waves[r]
+        for j, (p, q) in enumerate(zip(ip[cut].tolist(), iq[cut].tolist())):
             sweep = s - 1 if j < k else s
             if 0 <= sweep < 3:
                 got[sweep, p, q] = g
@@ -263,11 +258,6 @@ def test_fuzz_bitwise_equals_cyclic_loop(rollbacks):
     assert rollbacks[0] > 0
 
 
-def _loop_runs(ats, tol, max_sweeps):
-    """Per problem, (at, vt, sweeps, worst, converged) bytes from the scalar loop."""
-    return [_loop_run(at, tol, max_sweeps) for at in ats]
-
-
 def _square(seed, n):
     return _svd_operands(_rng_normal(seed, (n, n)))
 
@@ -294,8 +284,8 @@ def test_stack_bitwise_equals_cyclic_loop_per_problem(case, rollbacks):
     """One stacked call gives every problem the scalar loop's factors, sweep
     count, worst off-diagonal and convergence flag, bit for bit."""
     ats, max_sweeps = _STACK_CASES[case]
-    want = _loop_runs(ats, 1e-12, max_sweeps)
-    assert _stacked_runs(ats, 1e-12, max_sweeps) == want
+    want = _runs(LOOP, ats, 1e-12, max_sweeps)
+    assert _runs(KERNEL, ats, 1e-12, max_sweeps) == want
     if case == "different-sweep-counts":
         assert len({run[2] for run in want}) > 2 and all(run[4] for run in want)
     if case == "max-sweeps-cut-off":
@@ -324,7 +314,7 @@ def test_fuzz_stacks_bitwise_equal_cyclic_loop(rollbacks):
             ats.append(at)
         tol = (1e-12, 0.0, 1e-3, -1.0)[rng.integers(4)]
         max_sweeps = (0, 1, 2, 3, 60 if tol > 0 else 5)[rng.integers(5)]
-        assert _stacked_runs(ats, tol, max_sweeps) == _loop_runs(ats, tol, max_sweeps), (
+        assert _runs(KERNEL, ats, tol, max_sweeps) == _runs(LOOP, ats, tol, max_sweeps), (
             ats, tol, max_sweeps)
     assert rollbacks[0] > 0
 
@@ -363,9 +353,9 @@ def test_read_only_operands_are_left_untouched(rollbacks):
     for at in ats[1:]:
         at.flags.writeable = False
     before = [at.tobytes() for at in ats]
-    want = _loop_runs(ats, 1e-12, 60)
-    assert _stacked_runs(ats, 1e-12, 60) == want
-    assert _without_vt(_stacked_runs(ats, 1e-12, 60, compute_uv=False)) == _without_vt(want)
+    want = _runs(LOOP, ats, 1e-12, 60)
+    assert _runs(KERNEL, ats, 1e-12, 60) == want
+    assert _without_vt(_runs(KERNEL, ats, 1e-12, 60, compute_uv=False)) == _without_vt(want)
     assert rollbacks[0] == 2
     assert [at.tobytes() for at in ats] == before
 
@@ -382,7 +372,7 @@ def test_values_only_bitwise_equals_full_run_and_cyclic_loop(case, rollbacks):
     at0, max_sweeps = _ORACLE_CASES[case]
     want = _without_vt(_both_kernels(at0, 1e-12, max_sweeps))
     rollbacks[0] = 0
-    got = _without_vt(_stacked_runs([at0], 1e-12, max_sweeps, compute_uv=False))
+    got = _without_vt(_runs(KERNEL, [at0], 1e-12, max_sweeps, compute_uv=False))
     assert got * 2 == want
     assert rollbacks[0] == (case in ("nan-entry", "nan-rollback"))
 
@@ -393,10 +383,10 @@ def test_values_only_stack_bitwise_equals_full_run_and_cyclic_loop(case, rollbac
     and results as the full stack and the scalar loop do, and the problem
     with a NaN reruns its speculative head."""
     ats, max_sweeps = _STACK_CASES[case]
-    full = _without_vt(_stacked_runs(ats, 1e-12, max_sweeps))
-    assert full == _without_vt(_loop_runs(ats, 1e-12, max_sweeps))
+    full = _without_vt(_runs(KERNEL, ats, 1e-12, max_sweeps))
+    assert full == _without_vt(_runs(LOOP, ats, 1e-12, max_sweeps))
     rollbacks[0] = 0
-    assert _without_vt(_stacked_runs(ats, 1e-12, max_sweeps, compute_uv=False)) == full
+    assert _without_vt(_runs(KERNEL, ats, 1e-12, max_sweeps, compute_uv=False)) == full
     assert rollbacks[0] == (case in ("nan-rollback-in-stack", "rows-of-length-1"))
 
 

@@ -114,6 +114,21 @@ class TestExtremeMagnitude:
         want = np.linalg.svd(w, compute_uv=False)
         assert np.abs(svd(w, compute_uv=False).sigma - want).max() <= 1e-14 * want[0]
 
+    @pytest.mark.xfail(raises=NumericalError, strict=True,
+                       reason="a zero or repeated row leaves a working row that shrinks to "
+                              "about 1e-160 of the largest, whose squared norm is subnormal: "
+                              "the kernel never converges")
+    def test_zero_or_repeated_row(self):
+        """In-range input that reaches the mechanism of the case above: an 8x8
+        Gaussian with row 0 zeroed (198 of 200 seeds fail), and a 64x64 one
+        with row 1 = row 0."""
+        zero_row, repeated_row = _random((8, 8), 0), _random((64, 64), 0)
+        zero_row[0] = 0.0
+        repeated_row[1] = repeated_row[0]
+        for w in (zero_row, repeated_row):
+            want = np.linalg.svd(w, compute_uv=False)
+            assert np.abs(svd(w, compute_uv=False).sigma - want).max() <= 1e-12 * want[0]
+
     def test_no_single_scale_fits(self):
         with pytest.raises(NumericalError, match="orders of magnitude"):
             svd(np.diag([1e300, 1.0, 1e-300]))  # 1e-300 would flush to zero
@@ -229,6 +244,50 @@ def _tiny_leading_rows(w):
     w[0] *= 1e-14
     w[1] = 0.0
     return w
+
+
+def _repeated_column(seed):
+    w = _random((64, 64), seed)
+    w[:, 1] = w[:, 0]
+    return w
+
+
+class TestBasisCompletion:
+    """A zero singular direction that no unit vector reaches with a residual
+    norm above 0.5 is completed from the unit vector with the largest
+    residual, projected twice. The squared residual norms sum to m - j, so
+    with one direction left the largest can be as small as 1/sqrt(m)."""
+
+    INPUTS = {
+        **{f"64x64-repeated-column-{seed}": _repeated_column(seed) for seed in range(3)},
+        "8x8-zero-column": _zero_columns(_random((8, 8), 1), [0]),
+    }
+
+    @pytest.mark.parametrize("kind", list(INPUTS))
+    def test_singular_square_matrix_completes(self, monkeypatch, kind):
+        svd_module = sys.modules["lamda.svd"]  # `lamda.svd` names the function
+        project, projections = svd_module._project_out, []
+
+        def counted(cand, cols):
+            projections.append(cols.shape[1])
+            return project(cand, cols)
+
+        monkeypatch.setattr(svd_module, "_project_out", counted)
+        w = self.INPUTS[kind]
+        dec = svd(w)
+        live = int(np.count_nonzero(dec.sigma))
+        m, k = dec.u.shape
+        # One zero direction, whose every unit vector falls short: m
+        # candidates and the second projection.
+        assert k - live == 1 and len(projections) == m + 1
+        gram = np.abs(dec.u.T @ dec.u - np.eye(k))
+        assert gram[live:].max() <= 1e-14  # one projection left up to 3e-12
+        # The live columns are orthogonal to the kernel's tol (1e-12) and rounding.
+        assert gram.max() <= 2e-12
+        assert np.abs(dec.v.T @ dec.v - np.eye(k)).max() <= 1e-12
+        assert np.abs(dec.reconstruct() - w).max() <= 1e-12 * np.abs(w).max()
+        want = oracles.singular_values_ref(w)
+        assert np.abs(dec.sigma - want).max() <= 1e-9 * want[0]
 
 
 class TestPostProcessing:
