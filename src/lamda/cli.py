@@ -5,32 +5,41 @@ Exit codes: 0 success, 2 usage or config error, 3 numerical failure.
 
 import argparse
 import csv
+import functools
+import io
 import json
 import os
+import shutil
 import sys
 from itertools import chain
 
 from . import accounting, allocator, container
 from .config import from_json, load_run_config, read_json
-from .svd import energy_score, svd
+from .svd import check_shape, energy_score, svd
 from .errors import ConfigError, LamdaError, NumericalError
 from .train import train
 
 
-def _write_json(path, doc):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+def _write_text(path, text):
+    """Write `text` to standard output if `path` is `-`, else in one atomic
+    replace of `path`."""
     if path == "-":
-        print(text)
+        sys.stdout.write(text)
     else:
-        with container.atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with container.atomic_open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _write_json(path, doc):
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path, rows):
-    """Write an iterable of rows to `path` as CSV. The rows may be lazy: if
-    one fails, `path` is left as it was."""
-    with container.atomic_open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(rows)
+    """Write an iterable of rows as CSV. The rows may be lazy: if one fails,
+    nothing is written."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def _parse_list(text, flag, kind=str):
@@ -52,35 +61,44 @@ def _parse_list(text, flag, kind=str):
 
 
 def cmd_analyze(args):
-    weights = container.read_weights(args.weights)
-    if args.modules is not None:
-        wanted = _parse_list(args.modules, "--modules")
-        for m in wanted:
-            if m not in weights:
-                raise ConfigError(f"weights file has no tensor named {m!r}")
-            if weights[m].ndim != 2:
-                raise ConfigError(f"--modules names {m!r}, which is not a matrix "
-                                  f"(shape {weights[m].shape})")
-        weights = {m: weights[m] for m in wanted}
-    matrices = {name: w for name, w in weights.items() if w.ndim == 2}
-    if not matrices:
-        raise ConfigError("no 2-D tensors to analyze")
-    ranks = _parse_list(args.ranks, "--ranks", int)
-    budget = allocator.RankBudget(ranks=ranks, target=args.target)
-    if args.max_rank < 1:
-        raise ConfigError(f"--max-rank must be >= 1, got {args.max_rank}")
+    """Scores from an index of the container, holding one tensor at a time.
 
-    names = sorted(matrices)
-    # The largest candidate rank must fit every matrix before any SVD runs;
-    # an empty matrix is left to svd's own check.
-    accounting.module_ranks({n: matrices[n].shape for n in names if matrices[n].size},
-                            budget.ranks[-1])
-    decompositions = {}
-    for n in names:
-        try:
-            decompositions[n] = svd(matrices[n], compute_uv=False)
-        except LamdaError as exc:  # svd names its one input 'matrix'
-            raise type(exc)(str(exc).replace(repr("matrix"), repr(n))) from None
+    The container's structure, the matrix shapes and the arguments are
+    checked before the first SVD. Each matrix is read when its SVD runs and
+    dropped after; every other tensor is read and dropped before any output
+    is written, so non-finite data anywhere exits 3 with no output."""
+    with open(args.weights, "rb") as fh:
+        index = container.index_weights_stream(fh)
+        if args.modules is not None:
+            wanted = _parse_list(args.modules, "--modules")
+            for m in wanted:
+                if m not in index:
+                    raise ConfigError(f"weights file has no tensor named {m!r}")
+                if len(index[m].shape) != 2:
+                    raise ConfigError(f"--modules names {m!r}, which is not a matrix "
+                                      f"(shape {index[m].shape})")
+        else:
+            wanted = [name for name, entry in index.items() if len(entry.shape) == 2]
+        if not wanted:
+            raise ConfigError("no 2-D tensors to analyze")
+        ranks = _parse_list(args.ranks, "--ranks", int)
+        budget = allocator.RankBudget(ranks=ranks, target=args.target)
+        if args.max_rank < 1:
+            raise ConfigError(f"--max-rank must be >= 1, got {args.max_rank}")
+
+        names = sorted(wanted)
+        for n in names:
+            check_shape(n, index[n].shape)
+        accounting.module_ranks({n: index[n].shape for n in names}, budget.ranks[-1])
+        decompositions = {}
+        for n in names:
+            try:
+                decompositions[n] = svd(container.read_tensor(fh, index[n]), compute_uv=False)
+            except LamdaError as exc:  # svd names its one input 'matrix'
+                raise type(exc)(str(exc).replace(repr("matrix"), repr(n))) from None
+        for name, entry in index.items():
+            if name not in decompositions:
+                container.read_tensor(fh, entry)
 
     scores = allocator.score_modules(decompositions, budget)
     _write_json(args.scores_out, {"modules": [vars(m) for m in scores]})
@@ -272,10 +290,15 @@ COMMANDS = (
 def build_parser(argv=()):
     """The parser of every command, or of the one `argv[0]` names. The
     usage line lists every command either way."""
+    # argparse makes a formatter for every add_argument, and each one asks
+    # for the terminal's width unless it is given one.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="lamda",
         description="Spectral adapter toolkit: spectrum analysis, rank "
         "planning, cost accounting, and toy-model fine-tuning.",
+        formatter_class=formatter,
     )
     invoked = [c for c in COMMANDS if argv and c[0] == argv[0]]
     # The metavar puts every command in the usage line of one command's
@@ -284,7 +307,7 @@ def build_parser(argv=()):
     metavar = "{" + ",".join(name for name, _, _ in COMMANDS) + "}" if invoked else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, add_arguments in invoked or COMMANDS:
-        add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text, formatter_class=formatter))
     return parser
 
 

@@ -11,6 +11,8 @@ A weight container ends its stream. Readers reject whatever does not
 parse as one: a short or overlong stream, a name that is not UTF-8, a
 shape numpy cannot hold or one larger than the bytes left (ConfigError),
 and non-finite data, which the writer refuses too (NumericalError).
+`index_weights_stream` makes every check but the last from the headers
+alone; `read_tensor` reads one indexed tensor and makes the last.
 
 `write_weights`, `save_checkpoint` and the CLI's outputs are written
 through `atomic_open`, so a file holds either its old bytes or all of its
@@ -23,6 +25,7 @@ import json
 import math
 import os
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +37,7 @@ FORMAT_VERSION = 1
 
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_ONE_ITEM = bytes(max(dtype.itemsize for dtype in _DTYPE_CODES.values()))
 
 
 @contextlib.contextmanager
@@ -77,8 +81,18 @@ def _read_exact(fh, n, what):
     return buf
 
 
-def read_weights_stream(fh):
-    """The tensors of the weight container that runs to the end of `fh`."""
+class TensorEntry(NamedTuple):
+    """Where one tensor of a weight container lies: its data starts at byte
+    `offset` of the stream."""
+    name: str
+    dtype: np.dtype
+    shape: tuple
+    offset: int
+
+
+def index_weights_stream(fh):
+    """{name: TensorEntry} of the weight container that runs to the end of
+    `fh`, in file order, read from the headers alone."""
     start = fh.tell()
     end = fh.seek(0, io.SEEK_END)
     fh.seek(start)
@@ -87,7 +101,7 @@ def read_weights_stream(fh):
     version, count = struct.unpack("<HI", _read_exact(fh, 6, "header"))
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported container version {version}")
-    tensors = {}
+    index = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
         try:
@@ -100,25 +114,39 @@ def read_weights_stream(fh):
         dims = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, "dims"))
         dtype = _DTYPE_CODES[code]
         nbytes = math.prod(dims) * dtype.itemsize
-        if nbytes > end - fh.tell():
+        offset = fh.tell()
+        if nbytes > end - offset:
             raise ConfigError(
                 f"truncated container: tensor {name!r} of shape {dims} needs "
-                f"{nbytes} bytes, {end - fh.tell()} are left"
+                f"{nbytes} bytes, {end - offset} are left"
             )
-        try:
-            data = np.empty(dims, dtype)
+        try:  # numpy checks the shape of a zero-stride view, which allocates nothing
+            np.ndarray(dims, dtype, _ONE_ITEM, strides=(0,) * ndim)
         except (ValueError, OverflowError):
             raise ConfigError(f"tensor {name!r}: shape {dims} is not an array shape") from None
-        if fh.readinto(data) != nbytes:
-            raise ConfigError(f"truncated container while reading data of {name!r}")
-        if name in tensors:
+        if name in index:
             raise ConfigError(f"duplicate tensor name {name!r}")
-        if not np.isfinite(data).all():
-            raise NumericalError(f"tensor {name!r} holds non-finite values")
-        tensors[name] = data
+        index[name] = TensorEntry(name, dtype, dims, offset)
+        fh.seek(offset + nbytes)
     if fh.tell() != end:
         raise ConfigError(f"{end - fh.tell()} trailing bytes after the last tensor")
-    return tensors
+    return index
+
+
+def read_tensor(fh, entry):
+    """The data of one indexed tensor of `fh`, a fresh array."""
+    data = np.empty(entry.shape, entry.dtype)
+    fh.seek(entry.offset)
+    if fh.readinto(data) != data.nbytes:
+        raise ConfigError(f"truncated container while reading data of {entry.name!r}")
+    if not np.isfinite(data).all():
+        raise NumericalError(f"tensor {entry.name!r} holds non-finite values")
+    return data
+
+
+def read_weights_stream(fh):
+    """The tensors of the weight container that runs to the end of `fh`."""
+    return {name: read_tensor(fh, entry) for name, entry in index_weights_stream(fh).items()}
 
 
 def write_weights(path, tensors):

@@ -91,16 +91,22 @@ def svd_many(weights, compute_uv=True):
     return {key: decs[key] for key in weights}
 
 
+def check_shape(key, shape):
+    """Refuse a `shape` that svd cannot decompose, one that is not 2-D or
+    is empty, with a ConfigError naming `key`."""
+    if len(shape) != 2:
+        raise ConfigError(f"svd expects a matrix, got shape {shape} for {key!r}")
+    if min(shape) == 0:
+        raise ConfigError(f"svd expects a non-empty matrix, got shape {shape} for {key!r}")
+
+
 def _operand(key, w):
     """(operand, flipped, exponent) for one checked matrix: the kernel
     operand has one row per singular value (the matrix's columns, or its
     rows if flipped), scaled by 2**exponent when the matrix leaves the
     kernel's safe range."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ConfigError(f"svd expects a matrix, got shape {w.shape} for {key!r}")
-    if min(w.shape) == 0:
-        raise ConfigError(f"svd expects a non-empty matrix, got shape {w.shape} for {key!r}")
+    check_shape(key, w.shape)
     top = max(w.max(), -w.min())  # NaN if any entry is NaN
     if not np.isfinite(top):
         raise NumericalError(f"svd input {key!r} of shape {w.shape} holds NaN or inf")

@@ -52,3 +52,9 @@ def test_bench_svd_checks_hold_on_small_operands(capsys):
     child, first, first_faults, second, second_faults = row.split()
     assert child == "1" and float(first) >= 0 and float(second) >= 0
     assert int(first_faults) >= 0 and int(second_faults) >= 0
+
+    # The analyze table's smallest row: d 64, one 64x64 and one 64x256 f32 matrix.
+    bench._analyze_row(64, 1)
+    d, size, seconds, peak = capsys.readouterr().out.split()
+    assert d == "64" and int(size) > 4 * 64 * 64 * 5
+    assert float(seconds) > 0 and float(peak) > 0

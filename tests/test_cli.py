@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +211,67 @@ class TestAnalyzePlan:
                        "--target", "2") == code
         err = capsys.readouterr().err
         assert message in err and "'L0.q'" in err and "'matrix'" not in err
+
+    def test_holds_one_tensor_at_a_time(self, tmp_path):
+        """analyze reads a tensor it does not decompose and drops it, so its
+        peak stays far below a container of many such tensors."""
+        rng = np.random.default_rng(2)
+        tensors = {"L0.q": rng.normal(size=(16, 16))}
+        tensors.update({f"bias{i}": rng.normal(size=4096) for i in range(64)})
+        weights = tmp_path / "w.ldwt"
+        container.write_weights(weights, tensors)
+        tracemalloc.start()
+        try:
+            assert run_cli("analyze", "--weights", str(weights), "--ranks", "2,4,6",
+                           "--target", "4", "--scores-out", str(tmp_path / "scores.json")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(weights) / 4
+
+    @staticmethod
+    def _matrix_then_bias(path):
+        """A container of one 16x16 matrix and, after it, a 1-D tensor."""
+        rng = np.random.default_rng(3)
+        container.write_weights(path, {"L0.q": rng.normal(size=(16, 16)), "bias": np.ones(4)})
+        return path.read_bytes()
+
+    def test_nan_in_a_tensor_it_does_not_decompose_exits_3(self, tmp_path, capsys):
+        weights, scores = tmp_path / "w.ldwt", tmp_path / "scores.json"
+        raw = self._matrix_then_bias(weights)
+        weights.write_bytes(raw[:-8] + struct.pack("<d", np.nan))
+        assert run_cli("analyze", "--weights", str(weights), "--ranks", "2,4,6",
+                       "--target", "4", "--scores-out", str(scores)) == 3
+        assert "tensor 'bias' holds non-finite values" in capsys.readouterr().err
+        assert not scores.exists()
+
+    @pytest.mark.parametrize("cut, tail, message", [
+        pytest.param(1, b"", "truncated container: tensor 'bias'", id="truncated"),
+        pytest.param(0, b"\x00", "1 trailing bytes", id="trailing-byte"),
+    ])
+    def test_malformed_bytes_after_the_analyzed_tensor_exit_before_any_svd(
+            self, tmp_path, capsys, monkeypatch, cut, tail, message):
+        weights, scores = tmp_path / "w.ldwt", tmp_path / "scores.json"
+        raw = self._matrix_then_bias(weights)
+        weights.write_bytes(raw[:len(raw) - cut] + tail)
+        calls = []
+        monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
+                            lambda ats, *args: calls.append(len(ats)))
+        assert run_cli("analyze", "--weights", str(weights), "--modules", "L0.q",
+                       "--ranks", "2,4,6", "--target", "4", "--scores-out", str(scores)) == 2
+        assert message in capsys.readouterr().err
+        assert calls == [] and not scores.exists()
+
+    def test_empty_matrix_fails_before_any_svd(self, tmp_path, capsys, monkeypatch):
+        weights = tmp_path / "w.ldwt"
+        container.write_weights(weights, {"L0.k": np.eye(8), "L0.q": np.zeros((64, 0))})
+        calls = []
+        monkeypatch.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
+                            lambda ats, *args: calls.append(len(ats)))
+        assert run_cli("analyze", "--weights", str(weights), "--ranks", "1,2,3",
+                       "--target", "2") == 2
+        assert "non-empty matrix, got shape (64, 0) for 'L0.q'" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestCount:
@@ -700,6 +764,84 @@ def test_report_on_any_metrics_bytes_merges_or_is_usage_error(raw):
             assert len(lines) == 1 and lines[0].startswith("error:") and not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["count", "analyze", "report"])
+def test_dash_as_a_csv_output_path_prints(tmp_path, monkeypatch, capsys, weights_file, command):
+    """`-` means standard output for a CSV output path, as it does for a JSON one."""
+    runs = tmp_path / "runs"
+    (runs / "a").mkdir(parents=True)
+    (runs / "a" / "metrics.csv").write_bytes(_METRICS)
+    argv, header = {
+        "count": (["--model-preset", "llama2-7b", "--method", "lamda", "--rank", "8",
+                   "--json", "count.json", "--csv", "-"],
+                  "module,trainable_params,effective_params,activation_floats"),
+        "analyze": (["--weights", str(weights_file), "--ranks", "2,4,6", "--target", "4",
+                     "--scores-out", "scores.json", "--energy-csv", "-"],
+                    "module,rank,energy_ratio"),
+        "report": (["--runs", str(runs), "--out", "-"], "step,a.loss,a.live_params"),
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, *argv) == 0
+    assert capsys.readouterr().out.startswith(header + "\r\n")
+    assert not (tmp_path / "-").exists()
+
+
+def _d16_container():
+    """The d 16 model's tensor names and container bytes."""
+    buf = io.BytesIO()
+    cfg = ToyTransformerConfig(layers=1, d_model=16, heads=2, ffn_dim=32, vocab=11, context=8)
+    weights = ToyTransformer(cfg, seed=0).weights()
+    container.write_weights_stream(buf, weights)
+    return list(weights), buf.getvalue()
+
+
+_D16_NAMES, _D16 = _d16_container()
+_d16_one_byte_changed = st.tuples(st.integers(0, len(_D16) - 1), st.integers(0, 255)).map(
+    lambda at: _D16[:at[0]] + bytes([at[1]]) + _D16[at[0] + 1:])
+_rank_lists = st.lists(st.integers(-1, 40), max_size=4).map(lambda ranks: ",".join(map(str, ranks)))
+_module_lists = st.lists(st.sampled_from(_D16_NAMES + ["nope", ""]), max_size=4).map(",".join)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(raw=st.one_of(st.just(_D16), _d16_one_byte_changed,
+                     st.integers(0, len(_D16) - 1).map(lambda n: _D16[:n]),
+                     st.binary(min_size=1, max_size=8).map(lambda tail: _D16 + tail)),
+       ranks=st.one_of(st.just("2,4,6"), _rank_lists, st.text(max_size=8)),
+       target=st.integers(-1, 40),
+       modules=st.one_of(st.none(), _module_lists, st.text(max_size=8)),
+       max_rank=st.integers(-1, 40))
+@example(raw=_D16, ranks="2,4,6", target=4, modules=None, max_rank=8)
+def test_analyze_on_any_arguments_and_container_bytes(raw, ranks, target, modules, max_rank):
+    """Whatever its arguments and container bytes, `lamda analyze` exits 0,
+    or exits 2 or 3 with one error line and no output file; an exit 2 comes
+    before any SVD kernel call."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        calls = []
+        kernel = sys.modules["lamda.svd"].jacobi_sweeps
+        mp.setattr(sys.modules["lamda.svd"], "jacobi_sweeps",
+                   lambda ats, *args: calls.append(len(ats)) or kernel(ats, *args))
+        weights = os.path.join(tmp, "w.ldwt")
+        with open(weights, "wb") as fh:
+            fh.write(raw)
+        scores, energy = os.path.join(tmp, "scores.json"), os.path.join(tmp, "energy.csv")
+        argv = ["analyze", "--weights", weights, f"--ranks={ranks}", f"--target={target}",
+                f"--max-rank={max_rank}", "--scores-out", scores, "--energy-csv", energy]
+        if modules is not None:
+            argv.append(f"--modules={modules}")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(*argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
+        if code == 0:
+            assert os.path.exists(scores) and os.path.exists(energy)
+        else:
+            prefix = "error:" if code == 2 else "numerical error:"
+            assert len(lines) == 1 and lines[0].startswith(prefix), lines
+            assert not os.path.exists(scores) and not os.path.exists(energy)
+        if code == 2:
+            assert calls == []
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "c.json"
     proc = subprocess.run(
@@ -740,6 +882,14 @@ def test_a_command_builds_only_its_own_parser(tmp_path, monkeypatch, weights_fil
     assert run_cli("analyze", "--weights", str(weights_file), "--ranks", "2,4", "--target", "3",
                    "--scores-out", str(tmp_path / "scores.json")) == 0
     assert built == ["analyze"] and listed == []
+
+
+def test_a_parser_asks_for_the_terminal_width_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(1) or size(*args))
+    cli.build_parser(["analyze"])
+    assert len(calls) <= 1
 
 
 def _parse_outcome(parse, argv, capsys):
