@@ -3,7 +3,6 @@ scalar cyclic loop it replaced (`tests/oracles.py::jacobi_sweeps_cyclic_ref`),
 and one kernel call per operand against one call per stack of operands.
 
 Usage: PYTHONPATH=src python benchmarks/bench_svd.py [--sizes 32,64,128,256] [--repeats 3]
-       [--analyze-dims 64,128,256,512]
 
 The operands are the toy model's weight shapes (64x64, 64x256, 256x64) and,
 for each size n, a 2n x n matrix, all Gaussian and laid out as `svd` hands
@@ -38,11 +37,12 @@ set-up does, in one fresh child interpreter per repeat
 minor page faults (`resource.getrusage`) of its first call, the one every
 `lamda` process pays, and of a second call in the same process.
 
-A fifth table runs `lamda analyze` in process (`cli.main`) for each model
-width d, on a float32 container of one d x d and one d x 4d Gaussian matrix,
-with the perfbench workload's budget (ranks 4,8,12, target 8) and an energy
-CSV. Each row prints the container's bytes, the best wall time over the
-repeats and the tracemalloc peak of one more run.
+A fifth table runs `lamda analyze` in process (`cli.main`) on float32
+containers of `layers` layers, each one d x d and one d x 4d Gaussian
+matrix, for the (d, layers) of `ANALYZE_ROWS`, with the perfbench
+workload's budget (ranks 4,8,12, target 8) and an energy CSV. It
+decomposes every matrix. Each row prints the container's bytes, the best
+wall time over the repeats and the tracemalloc peak of one more run.
 """
 
 import argparse
@@ -65,6 +65,8 @@ from lamda.svd import svd_many  # noqa: E402
 from lamda.train import TrainRunConfig, pretrain_backbone  # noqa: E402
 
 TOY_SHAPES = ((64, 64), (64, 256), (256, 64))
+# (d, layers) of the analyze table: one layer per width, then more layers at d 64.
+ANALYZE_ROWS = ((64, 1), (128, 1), (256, 1), (512, 1), (64, 4), (64, 16))
 # The finetune-toy-lamda backbone (perfbench/workloads.py).
 BACKBONE = dict(layers=2, d_model=64, heads=4, ffn_dim=256, vocab=32, context=16)
 PRETRAIN = dict(task_id="copy", steps=100, lr=3e-3, batch_size=16, seed=0)
@@ -251,10 +253,12 @@ def _cold_table(weights, children):
                   f"{float(second) * 1e3:>11.0f} {second_faults:>8}")
 
 
-def _analyze_row(d, repeats):
+def _analyze_row(d, layers, repeats):
     rng = np.random.default_rng(d)
-    weights = {"L0.q": rng.normal(size=(d, d)).astype(np.float32),
-               "L0.ffn1": rng.normal(size=(d, 4 * d)).astype(np.float32)}
+    weights = {}
+    for i in range(layers):
+        weights[f"L{i}.q"] = rng.normal(size=(d, d)).astype(np.float32)
+        weights[f"L{i}.ffn1"] = rng.normal(size=(d, 4 * d)).astype(np.float32)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "w.ldwt")
         container.write_weights(path, weights)
@@ -266,7 +270,8 @@ def _analyze_row(d, repeats):
             elapsed, code = _timed(cli.main, argv)
             assert code == 0, f"lamda analyze exited with {code}"
             best = min(best, elapsed)
-        print(f"{d:>5} {os.path.getsize(path):>11} {best:>9.3f} {_peak_kb(cli.main, argv):>8.0f}")
+        print(f"{d:>5} {layers:>6} {os.path.getsize(path):>11} {best:>9.3f} "
+              f"{_peak_kb(cli.main, argv):>8.0f}")
 
 
 def main():
@@ -274,8 +279,6 @@ def main():
     parser.add_argument("--sizes", default="32,64,128,256",
                         help="comma-separated column counts (rows = 2x)")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--analyze-dims", default="64,128,256,512",
-                        help="comma-separated model widths d of the analyze table")
     args = parser.parse_args()
     shapes = [(f"toy {r}x{c}", (r, c)) for r, c in TOY_SHAPES]
     shapes += [(f"{2 * n}x{n}", (2 * n, n)) for n in (int(s) for s in args.sizes.split(","))]
@@ -295,9 +298,9 @@ def main():
     print()
     _cold_table(weights, args.repeats)
     print()
-    print(f"{'d':>5} {'bytes':>11} {'time (s)':>9} {'peak KB':>8}")
-    for d in map(int, args.analyze_dims.split(",")):
-        _analyze_row(d, args.repeats)
+    print(f"{'d':>5} {'layers':>6} {'bytes':>11} {'time (s)':>9} {'peak KB':>8}")
+    for d, layers in ANALYZE_ROWS:
+        _analyze_row(d, layers, args.repeats)
 
 
 if __name__ == "__main__":

@@ -291,7 +291,8 @@ def build_parser(argv=()):
     """The parser of every command, or of the one `argv[0]` names. The
     usage line lists every command either way."""
     # argparse makes a formatter for every add_argument, and each one asks
-    # for the terminal's width unless it is given one.
+    # for the terminal's width unless it is given one. This is the width
+    # argparse picks itself: the terminal's columns less a 2-column margin.
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(

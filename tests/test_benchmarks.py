@@ -54,7 +54,7 @@ def test_bench_svd_checks_hold_on_small_operands(capsys):
     assert int(first_faults) >= 0 and int(second_faults) >= 0
 
     # The analyze table's smallest row: d 64, one 64x64 and one 64x256 f32 matrix.
-    bench._analyze_row(64, 1)
-    d, size, seconds, peak = capsys.readouterr().out.split()
-    assert d == "64" and int(size) > 4 * 64 * 64 * 5
+    bench._analyze_row(64, 1, 1)
+    d, layers, size, seconds, peak = capsys.readouterr().out.split()
+    assert d == "64" and layers == "1" and int(size) > 4 * 64 * 64 * 5
     assert float(seconds) > 0 and float(peak) > 0

@@ -892,6 +892,14 @@ def test_a_parser_asks_for_the_terminal_width_once(monkeypatch):
     assert len(calls) <= 1
 
 
+def test_a_parser_wraps_its_help_at_argparse_s_own_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "57")
+    parser = cli.build_parser(["analyze"])
+    help_text = parser.format_help()
+    parser.formatter_class = argparse.HelpFormatter
+    assert help_text == parser.format_help()
+
+
 def _parse_outcome(parse, argv, capsys):
     try:
         code = parse(argv)
