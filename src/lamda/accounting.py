@@ -86,10 +86,11 @@ class ModelSpec:
 
 
 def load_preset(name):
-    try:
-        text = resources.files("lamda.presets").joinpath(f"{name}.json").read_text()
-    except FileNotFoundError:
-        raise ConfigError(f"unknown model preset {name!r}") from None
+    """The bundled preset `name`, one of `list_presets()`; any other name,
+    a path among them, is an unknown preset."""
+    if name not in list_presets():
+        raise ConfigError(f"unknown model preset {name!r}")
+    text = resources.files("lamda.presets").joinpath(f"{name}.json").read_text()
     return from_json(ModelSpec, json.loads(text), f"preset {name!r}")
 
 

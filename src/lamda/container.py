@@ -15,8 +15,8 @@ and non-finite data, which the writer refuses too (NumericalError).
 alone; `read_tensor` reads one indexed tensor and makes the last.
 
 `write_weights`, `save_checkpoint` and the CLI's outputs are written
-through `atomic_open`, so a file holds either its old bytes or all of its
-new ones, never a torn write.
+through `atomic_open`, so a regular file holds either its old bytes or all
+of its new ones, never a torn write.
 """
 
 import contextlib
@@ -42,9 +42,16 @@ _ONE_ITEM = bytes(max(dtype.itemsize for dtype in _DTYPE_CODES.values()))
 
 @contextlib.contextmanager
 def atomic_open(path, mode="wb", **kwargs):
-    """Open a temp file next to `path` for writing. It replaces `path` when
-    the block ends; if the block raises, it is deleted and `path` is left
-    as it was."""
+    """Open `path`, symlinks followed, for writing. A regular or absent file
+    is written to a temp file next to it, which replaces it when the block
+    ends; if the block raises, the temp file is deleted and the file is left
+    as it was. Any other file that exists (a FIFO, a device) is written in
+    place, as replacing it would turn it into a regular file."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, **kwargs) as fh:

@@ -21,7 +21,8 @@ consecutive sweeps overlap by n - 3 of them. Every rotation still meets
 exactly the rows the one-at-a-time loop would hand it. Each step makes the
 loop's comparisons and arithmetic elementwise, and its dot products go
 through `np.vecdot`, which numpy sends to the same BLAS dot as `np.dot` on
-two rows. The factors are therefore bit for bit those of the scalar loop
+two rows of two or more entries (a pair needs n >= 2, so m >= 2). The
+factors are therefore bit for bit those of the scalar loop
 (`tests/oracles.py::jacobi_sweeps_cyclic_ref`). Under the malloc thresholds
 set at import (`_set_malloc_thresholds`), the waves' same-sized temporaries
 stay resident from one wave to the next. A wave runs whole, so the
@@ -44,24 +45,23 @@ every bit of `at` and of the results as in the full run and about half
 the rotation work of a square problem. A wave gathers its rows as copies,
 rotates them in place and scatters them back.
 
-The loop tests convergence after each sweep, so the head of the next sweep
-runs speculatively. It is a no-op whenever the converged sweep rotated
-nothing. A converged sweep can still rotate pairs whose relative
-off-diagonal is NaN, because the worst value skips NaN, and each such
-rotation turns both rows NaN. So a problem whose `at` rows hold a NaN when
-it converges with the next sweep's head run starts again from its operand,
-which the kernel never writes to, and stops at the converged sweep. `svd`
-hands over only finite operands in a range where no dot product
-overflows, so it never reruns.
+The head of the next sweep runs before a sweep's convergence test. Inside
+the contract that `jacobi_sweeps` checks first (n <= m, finite, no dot
+product overflows), and `svd` hands over nothing else, every relative
+off-diagonal is finite, so after a converged sweep that head rotates nothing.
 """
 
 import ctypes
 import functools
+import math
 import os
 
 import numpy as np
 
+from .errors import ContractError
+
 _TINY = 1e-300
+_SAFE_EXP = 255  # an operand's largest |entry| is at most 2**_SAFE_EXP / sqrt(n * m)
 
 
 def _set_malloc_thresholds():
@@ -106,18 +106,6 @@ def _schedule(n):
     return ip, iq, [(slice(a, b), len(old)) for a, b, (old, _) in zip(starts, starts[1:], waves)]
 
 
-def _dots(x, y):
-    """Row-wise dot products over the last axis, bit for bit `np.dot` of
-    each pair of rows.
-
-    np.dot multiplies rows of length 1 as scalars (keeping a -0.0 product)
-    and sends longer rows to BLAS dot, as vecdot does with each pair.
-    """
-    if x.shape[-1] == 1:
-        return x[..., 0] * y[..., 0]
-    return np.vecdot(x, y)
-
-
 def _wave(work, m, tol, ip, iq, k, out):
     """Rotate the row pairs (ip, iq) of `work` = [at | vt] in place.
 
@@ -129,7 +117,7 @@ def _wave(work, m, tol, ip, iq, k, out):
     # Gathered copies; `take` costs under half of work[ip] on a wave's rows.
     rp, rq = work.take(ip, axis=0), work.take(iq, axis=0)
     ap, aq = rp[..., :m], rq[..., :m]
-    app, aqq, apq = _dots(ap, ap), _dots(aq, aq), _dots(ap, aq)
+    app, aqq, apq = np.vecdot(ap, ap), np.vecdot(aq, aq), np.vecdot(ap, aq)
     denom = np.sqrt(app * aqq)
     # The loop's own comparisons, NaN included: a pair with denom <= tiny
     # is skipped (its rel of -inf neither raises `worst` nor rotates, for
@@ -178,17 +166,13 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
     """Up to max_sweeps overlapped cyclic sweeps, in place, over `count`
     problems of n rows each (problem b's are rows b*n .. b*n + n - 1).
 
-    Returns arrays (sweeps, worst, converged, clean) of length count; clean
-    is False where the last sweep converged while the next sweep's head ran
-    and the problem's `at` rows hold a NaN: only a NaN pair rotates in a
-    converged sweep, and it turns both rows NaN.
+    Returns arrays (sweeps, worst, converged) of length count.
     """
     sweeps = np.full(count, max_sweeps)
     worst = np.zeros(count)
     converged = np.zeros(count, dtype=bool)
-    clean = np.ones(count, dtype=bool)
     if max_sweeps < 1 or count == 0:
-        return sweeps, worst, converged, clean
+        return sweeps, worst, converged
     n_eff = max(n, 1)  # no rows, like one row, means no pairs
     lag = max(2 * n_eff - 4, 0)  # global waves from a sweep's first to its last
     # Sweep f's worst values, one column per running problem, are in
@@ -213,23 +197,12 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
             if stop.any():
                 ended = live[stop]
                 sweeps[ended], worst[ended], converged[ended] = f + 1, top[stop], done[stop]
-                if f + 1 < max_sweeps and n_eff > 3:  # sweep f + 1's head ran
-                    rows = work.reshape(count, n, -1)[ended, :, :m]
-                    clean[ended] = ~np.isnan(rows).any(axis=(1, 2))
                 live = live[~stop]
                 if live.size == 0:
-                    return sweeps, worst, converged, clean
+                    return sweeps, worst, converged
                 worst_of = worst_of[:, :, ~stop]
                 waves = _offset_waves(n_eff, n * live)
         g += 1
-
-
-def _fill(rows, at):
-    """One problem's rows [at | vt], from its untouched operand `at` and an
-    identity `vt` (with no columns for singular values only)."""
-    m = at.shape[1]
-    rows[:, :m] = at
-    rows[:, m:] = np.eye(*rows[:, m:].shape)
 
 
 def jacobi_sweeps(ats, compute_uv, tol, max_sweeps):
@@ -244,17 +217,27 @@ def jacobi_sweeps(ats, compute_uv, tol, max_sweeps):
     problem, the sweeps used, the worst relative off-diagonal of the last
     sweep and whether it converged: a pair (p, q) counts as converged when
     |<a_p, a_q>| / (|a_p| * |a_q|) <= tol.
+
+    Before any wave it raises ContractError, naming the first operand outside
+    the contract: n > m, or a largest |entry| that is not finite or passes
+    2**_SAFE_EXP / sqrt(n * m).
     """
     count = len(ats)
     n, m = ats[0].shape if count else np.shape(ats)[1:] or (0, 0)
+    if count and n > m:
+        raise ContractError(f"jacobi_sweeps operand 0 is {n} x {m}: more rows than columns")
     work = np.empty((count, n, m + (n if compute_uv else 0)))
+    work[:, :, m:] = np.eye(n, work.shape[2] - m)
+    for rows, at in zip(work, ats):
+        rows[:, :m] = at
+    at = work[:, :, :m]
+    top = np.maximum(at.max(axis=(1, 2), initial=0.0), -at.min(axis=(1, 2), initial=0.0))
+    bad = np.flatnonzero(~(top <= 2.0**_SAFE_EXP / math.sqrt(max(n * m, 1))))  # NaN too
+    if bad.size:
+        raise ContractError(
+            f"jacobi_sweeps operand {bad[0]} has largest |entry| {top[bad[0]]:.3e}: it must be "
+            f"finite and at most 2**{_SAFE_EXP} / sqrt({n} * {m})")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for rows, at in zip(work, ats):
-            _fill(rows, at)
-        flat = work.reshape(count * n, work.shape[2])
-        sweeps, worst, converged, clean = _sweeps(flat, count, n, m, tol, max_sweeps)
-        for b in np.flatnonzero(~clean):  # undo its next sweep's speculative head:
-            _fill(work[b], ats[b])  # rerun, stopping at the converged sweep
-            rerun = _sweeps(work[b], 1, n, m, tol, sweeps[b])
-            sweeps[b], worst[b], converged[b] = (x[0] for x in rerun[:3])
-    return work[:, :, :m], work[:, :, m:], sweeps, worst, converged
+        sweeps, worst, converged = _sweeps(
+            work.reshape(count * n, work.shape[2]), count, n, m, tol, max_sweeps)
+    return at, work[:, :, m:], sweeps, worst, converged

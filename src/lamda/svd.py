@@ -10,11 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, NumericalError
-from .kernels import jacobi_sweeps
+from .kernels import _SAFE_EXP, jacobi_sweeps
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 60
-_SAFE_EXP = 255  # the kernel's range for a matrix's largest entry (see `_operand`)
 
 
 @dataclass

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from lamda.kernels import _SAFE_EXP
 from lamda.model import ToyTransformerConfig
 from lamda.tensor import set_float_mode
 from lamda.train import pretrain_backbone
@@ -46,3 +47,10 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=np.float64)
     denom = max(np.abs(want).max(), 1e-300)
     return np.abs(got - want).max() / denom
+
+
+def in_kernel_contract(at):
+    """Whether `kernels.jacobi_sweeps` takes the operand `at`: no more rows
+    than columns, finite, and no |entry| above 2**_SAFE_EXP / sqrt(n * m)."""
+    n, m = at.shape
+    return n <= m and bool(np.all(np.abs(at) <= 2.0**_SAFE_EXP / np.sqrt(max(n * m, 1))))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ class TestAnalyzePlan:
         assert json.loads(plan.read_text())["ranks"] == {
             m: st.config.rank for m, st in model.adapters.items()}
 
+    def test_column_vector_tensor(self, tmp_path):
+        """A 16 x 1 tensor has one singular value, the column's norm; analyze
+        scores it at rank 1."""
+        weights, scores = tmp_path / "w.ldwt", tmp_path / "scores.json"
+        column = np.random.default_rng(2).normal(size=(16, 1))
+        container.write_weights(weights, {"L0.q": column})
+        assert run_cli("analyze", "--weights", str(weights), "--ranks", "1", "--target", "1",
+                       "--scores-out", str(scores), "--energy-csv",
+                       str(tmp_path / "energy.csv")) == 0
+        (module,) = json.loads(scores.read_text())["modules"]
+        assert module["module"] == "L0.q"
+        assert abs(module["e_target"] - np.sum(column**2)) <= 1e-13 * np.sum(column**2)
+
     def test_matrix_no_scale_fits_is_numerical_error(self, tmp_path, capsys):
         weights = tmp_path / "w.ldwt"
         container.write_weights(weights, {"L0.q": np.diag([1e300] + [1.0] * 6 + [1e-300])})
@@ -360,6 +374,22 @@ class TestCount:
     def test_unknown_preset(self):
         assert run_cli("count", "--model-preset", "gpt-99", "--method", "lora",
                        "--json", "-") == 2
+
+    @pytest.mark.parametrize("form", ["absolute", "relative"])
+    def test_preset_path_outside_the_package_is_unknown(self, tmp_path, capsys, form):
+        """A name is looked up among the bundled presets, never joined onto
+        their directory: a path to a valid preset file elsewhere is refused."""
+        presets = str(resources.files("lamda.presets"))
+        (tmp_path / "evil.json").write_text(
+            resources.files("lamda.presets").joinpath("llama2-7b.json").read_text())
+        name = str(tmp_path / "evil")
+        if form == "relative":
+            name = os.path.relpath(name, presets)
+        out = tmp_path / "count.json"
+        assert run_cli("count", "--model-preset", name, "--method", "lora",
+                       "--json", str(out)) == 2
+        assert "unknown model preset" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method(self):
         assert run_cli("count", "--model-preset", "llama2-7b", "--method", "prefix",

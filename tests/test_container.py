@@ -1,7 +1,9 @@
 import io
 import math
 import os
+import stat
 import struct
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +105,39 @@ def test_failed_write_leaves_old_file(tmp_path, write):
         write(path, bad)  # "w" is written before "nan" is refused
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def _container_bytes(tensors):
+    buf = io.BytesIO()
+    write_weights_stream(buf, tensors)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("target_exists", [True, False], ids=["target", "dangling"])
+def test_write_through_a_symlink_keeps_the_link(tmp_path, target_exists):
+    """The link is followed: its target is replaced, or made, and the link
+    stays a link."""
+    target, link = tmp_path / "real.ldwt", tmp_path / "link.ldwt"
+    if target_exists:
+        target.write_bytes(b"old")
+    link.symlink_to("real.ldwt")
+    write_weights(link, _tensors())
+    assert link.is_symlink() and os.readlink(link) == "real.ldwt"
+    assert target.read_bytes() == _container_bytes(_tensors())
+    assert sorted(os.listdir(tmp_path)) == ["link.ldwt", "real.ldwt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_write_to_a_fifo_writes_in_place(tmp_path):
+    """A FIFO is written in place, not replaced by a regular file."""
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_weights(fifo, _tensors())
+    reader.join(timeout=60)
+    assert got == [_container_bytes(_tensors())]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == ["fifo"]
 
 
 def test_checkpoint_rejects_weight_file(tmp_path):

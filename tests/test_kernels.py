@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import OPENBLAS_THREADS_AT_START
+from conftest import OPENBLAS_THREADS_AT_START, in_kernel_contract
 from lamda import kernels
+from lamda.errors import ContractError
 from lamda.svd import svd
 
 _CASES = ((0, (12, 8)), (1, (8, 8)), (2, (40, 16)))
@@ -163,25 +164,39 @@ _ORACLE_CASES = {
     "converges-on-sweep-1": (_hadamard_rows(8), 60),
     "nan-rollback": (_hadamard_with_nan(), 60),
     "sliced-waves-32x2048": (_svd_operands(_rng_normal(34, (32, 2048))), 60),
+    "largest-entry-at-the-bound": (np.full((2, 2), 2.0**(kernels._SAFE_EXP - 1)), 60),
 }
+
+# The cases of this file outside the kernel's contract (NaN, or more rows
+# than columns), each with the index of the operand the kernel names.
+_REFUSED = {"nan-entry": 0, "nan-rollback": 0, "rows-of-length-1": 0, "nan-rollback-in-stack": 1}
 
 
 @pytest.fixture
-def rollbacks(monkeypatch):
-    """The number of problems whose speculative sweep head jacobi_sweeps rolled back."""
+def waves(monkeypatch):
+    """The number of waves the kernel has run."""
     count = [0]
-    run = kernels._sweeps
+    run = kernels._wave
 
     def counted(*args):
-        out = run(*args)
-        count[0] += int(np.count_nonzero(~out[3]))
-        return out
+        count[0] += 1
+        return run(*args)
 
-    monkeypatch.setattr(kernels, "_sweeps", counted)
+    monkeypatch.setattr(kernels, "_wave", counted)
     return count
 
 
 KERNEL, LOOP = kernels.jacobi_sweeps, oracles.jacobi_sweeps_cyclic_ref
+
+
+def _assert_refused(ats, first, waves):
+    """The kernel refuses the stack `ats`, full and values-only, with a
+    ContractError naming operand `first`, before any wave."""
+    before = waves[0]
+    for compute_uv in (True, False):
+        with pytest.raises(ContractError, match=f"operand {first} "):
+            KERNEL(ats, compute_uv, 1e-12, 60)
+    assert waves[0] == before
 
 
 def _runs(sweep, ats, tol, max_sweeps, compute_uv=True):
@@ -200,17 +215,20 @@ def _both_kernels(at0, tol, max_sweeps):
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
-def test_kernel_bitwise_equals_cyclic_loop(case, rollbacks):
+def test_kernel_bitwise_equals_cyclic_loop(case, waves):
     """The pipelined wavefront kernel gives the scalar cyclic loop's factors,
-    sweep count, worst off-diagonal and convergence flag, bit for bit."""
+    sweep count, worst off-diagonal and convergence flag, bit for bit, on an
+    operand inside its contract, and refuses one outside it before any wave."""
     at0, max_sweeps = _ORACLE_CASES[case]
+    if case in _REFUSED:
+        _assert_refused([at0], _REFUSED[case], waves)
+        return
     runs = _both_kernels(at0, 1e-12, max_sweeps)
     assert runs[0] == runs[1]
     if case in ("max-sweeps-1", "max-sweeps-2"):
         assert runs[1][2] == max_sweeps and not runs[1][4]  # stops mid-way
-    if case in ("converges-on-sweep-1", "nan-rollback"):
+    if case == "converges-on-sweep-1":
         assert runs[1][2] == 1 and runs[1][4]
-    assert rollbacks[0] == (case in ("nan-entry", "nan-rollback"))
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -237,12 +255,14 @@ def test_schedule_is_the_wavefront_rule_across_sweeps(n):
 _SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)
 
 
-def test_fuzz_bitwise_equals_cyclic_loop(rollbacks):
+def test_fuzz_bitwise_equals_cyclic_loop(waves):
     """Small matrices with special values, zero and duplicate rows, odd
-    tolerances and sweep caps: kernel and loop agree byte for byte, and the
-    speculative-head rollback is among the paths taken."""
+    tolerances and sweep caps: kernel and loop agree byte for byte on every
+    operand inside the kernel's contract, and the kernel refuses the others
+    (NaN, inf, +-1e300) before any wave."""
     rng = np.random.default_rng(909)
-    for _ in range(400):
+    compared = refused = 0
+    for _ in range(700):
         n = int(rng.integers(0, 9))
         at = rng.normal(size=(n, int(rng.integers(max(n, 1), 10))))
         for _ in range(int(rng.integers(0, 3)) if n else 0):
@@ -253,9 +273,31 @@ def test_fuzz_bitwise_equals_cyclic_loop(rollbacks):
             at[rng.integers(n)] = at[rng.integers(n)]
         tol = (1e-12, 0.0, 1e-3, -1.0)[rng.integers(4)]
         max_sweeps = (0, 1, 2, 3, 60 if tol > 0 else 5)[rng.integers(5)]
+        if not in_kernel_contract(at):
+            _assert_refused([at], 0, waves)
+            refused += 1
+            continue
         runs = _both_kernels(at, tol, max_sweeps)
         assert runs[0] == runs[1], (at, tol, max_sweeps)
-    assert rollbacks[0] > 0
+        compared += 1
+    assert compared >= 400 and refused > 0
+
+
+# Entries that put a 2 x 2 operand outside the kernel's contract: not finite,
+# or above 2**_SAFE_EXP / sqrt(2 * 2).
+_OUTSIDE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "1e300": 1e300, "-1e300": -1e300,
+            "above-the-bound": np.nextafter(2.0**(kernels._SAFE_EXP - 1), np.inf)}
+
+
+@pytest.mark.parametrize("case", list(_OUTSIDE))
+def test_kernel_refuses_an_operand_outside_its_contract(case, waves):
+    """One bad entry in the second operand of a stack refuses the stack,
+    naming that operand, before any wave; so does an operand with more rows
+    than columns."""
+    bad = _rng_normal(35, (2, 2))
+    bad[1, 0] = _OUTSIDE[case]
+    _assert_refused([_rng_normal(36, (2, 2)), bad, _rng_normal(37, (2, 2))], 1, waves)
+    _assert_refused([_rng_normal(38, (3, 2))], 0, waves)
 
 
 def _square(seed, n):
@@ -280,26 +322,32 @@ _STACK_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_STACK_CASES))
-def test_stack_bitwise_equals_cyclic_loop_per_problem(case, rollbacks):
+def test_stack_bitwise_equals_cyclic_loop_per_problem(case, waves):
     """One stacked call gives every problem the scalar loop's factors, sweep
-    count, worst off-diagonal and convergence flag, bit for bit."""
+    count, worst off-diagonal and convergence flag, bit for bit; a stack
+    holding an operand outside the kernel's contract is refused whole, before
+    any wave."""
     ats, max_sweeps = _STACK_CASES[case]
+    if case in _REFUSED:
+        _assert_refused(ats, _REFUSED[case], waves)
+        return
     want = _runs(LOOP, ats, 1e-12, max_sweeps)
     assert _runs(KERNEL, ats, 1e-12, max_sweeps) == want
     if case == "different-sweep-counts":
         assert len({run[2] for run in want}) > 2 and all(run[4] for run in want)
     if case == "max-sweeps-cut-off":
         assert [run[4] for run in want] == [False, True, False]
-    # The one problem with a NaN reruns; the others of its stack do not.
-    assert rollbacks[0] == (case in ("nan-rollback-in-stack", "rows-of-length-1"))
 
 
-def test_fuzz_stacks_bitwise_equal_cyclic_loop(rollbacks):
+def test_fuzz_stacks_bitwise_equal_cyclic_loop(waves):
     """Stacks of one to five small problems of one shape, with the special
     values, zero and duplicate rows, tolerances and sweep caps of the
-    single-problem fuzz: each problem matches its own scalar loop."""
+    single-problem fuzz: each problem of a stack inside the kernel's contract
+    matches its own scalar loop, and a stack with an operand outside it is
+    refused, naming the first such operand."""
     rng = np.random.default_rng(910)
-    for _ in range(150):
+    compared = refused = 0
+    for _ in range(480):
         n = int(rng.integers(0, 9))
         m = int(rng.integers(max(n, 1), 10))
         ats = []
@@ -314,9 +362,15 @@ def test_fuzz_stacks_bitwise_equal_cyclic_loop(rollbacks):
             ats.append(at)
         tol = (1e-12, 0.0, 1e-3, -1.0)[rng.integers(4)]
         max_sweeps = (0, 1, 2, 3, 60 if tol > 0 else 5)[rng.integers(5)]
+        outside = [b for b, at in enumerate(ats) if not in_kernel_contract(at)]
+        if outside:
+            _assert_refused(ats, outside[0], waves)
+            refused += 1
+            continue
         assert _runs(KERNEL, ats, tol, max_sweeps) == _runs(LOOP, ats, tol, max_sweeps), (
             ats, tol, max_sweeps)
-    assert rollbacks[0] > 0
+        compared += 1
+    assert compared >= 150 and refused > 0
 
 
 # Empty stacks of both forms, with compute_uv True and False; prints each
@@ -342,21 +396,20 @@ def test_empty_stack_returns_at_once():
     ]
 
 
-def test_read_only_operands_are_left_untouched(rollbacks):
+def test_read_only_operands_are_left_untouched():
     """The kernel reads its operands and writes only its own buffer: read-only
     operands, one of them the transposed view of a C-contiguous matrix as
-    svd hands it over, give the scalar loop's bytes, the NaN problem reruns
-    from its operand, and every operand keeps its bytes."""
+    svd hands it over, give the scalar loop's bytes, and every operand keeps
+    its bytes."""
     w = _rng_normal(61, (8, 8))
     w.flags.writeable = False
-    ats = [w.T, _square(62, 8), _hadamard_with_nan()]
+    ats = [w.T, _square(62, 8), _hadamard_rows(8)]
     for at in ats[1:]:
         at.flags.writeable = False
     before = [at.tobytes() for at in ats]
     want = _runs(LOOP, ats, 1e-12, 60)
     assert _runs(KERNEL, ats, 1e-12, 60) == want
     assert _without_vt(_runs(KERNEL, ats, 1e-12, 60, compute_uv=False)) == _without_vt(want)
-    assert rollbacks[0] == 2
     assert [at.tobytes() for at in ats] == before
 
 
@@ -365,29 +418,31 @@ def _without_vt(runs):
 
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
-def test_values_only_bitwise_equals_full_run_and_cyclic_loop(case, rollbacks):
+def test_values_only_bitwise_equals_full_run_and_cyclic_loop(case, waves):
     """A values-only call (compute_uv False) leaves at, and returns the
     sweeps, worst off-diagonal and convergence flag, of the full run and of
-    the scalar loop, bit for bit; the NaN cases rerun their speculative head."""
+    the scalar loop, bit for bit; it refuses what the full run refuses."""
     at0, max_sweeps = _ORACLE_CASES[case]
+    if case in _REFUSED:
+        _assert_refused([at0], _REFUSED[case], waves)
+        return
     want = _without_vt(_both_kernels(at0, 1e-12, max_sweeps))
-    rollbacks[0] = 0
     got = _without_vt(_runs(KERNEL, [at0], 1e-12, max_sweeps, compute_uv=False))
     assert got * 2 == want
-    assert rollbacks[0] == (case in ("nan-entry", "nan-rollback"))
 
 
 @pytest.mark.parametrize("case", list(_STACK_CASES))
-def test_values_only_stack_bitwise_equals_full_run_and_cyclic_loop(case, rollbacks):
+def test_values_only_stack_bitwise_equals_full_run_and_cyclic_loop(case, waves):
     """A values-only stack, whose vt is (B, n, 0), leaves every problem's at
-    and results as the full stack and the scalar loop do, and the problem
-    with a NaN reruns its speculative head."""
+    and results as the full stack and the scalar loop do; it refuses what the
+    full stack refuses."""
     ats, max_sweeps = _STACK_CASES[case]
+    if case in _REFUSED:
+        _assert_refused(ats, _REFUSED[case], waves)
+        return
     full = _without_vt(_runs(KERNEL, ats, 1e-12, max_sweeps))
     assert full == _without_vt(_runs(LOOP, ats, 1e-12, max_sweeps))
-    rollbacks[0] = 0
     assert _without_vt(_runs(KERNEL, ats, 1e-12, max_sweeps, compute_uv=False)) == full
-    assert rollbacks[0] == (case in ("nan-rollback-in-stack", "rows-of-length-1"))
 
 
 # A fresh interpreter's first svd_many of the toy backbone's ten weight

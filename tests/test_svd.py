@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lamda import kernels
+from conftest import in_kernel_contract
 from lamda.adapter import AdapterConfig, build_adapter
 from lamda.errors import ConfigError, ContractError, NumericalError
 from lamda.model import ToyTransformer, ToyTransformerConfig
@@ -27,6 +27,25 @@ class TestDecomposition:
         k = dec.k
         assert np.abs(dec.u.T @ dec.u - np.eye(k)).max() <= 1e-12
         assert np.abs(dec.v.T @ dec.v - np.eye(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("compute_uv", [True, False])
+    @pytest.mark.parametrize("shape", [(16, 1), (1, 16), (1, 1), (2, 1), (1, 2)])
+    def test_one_row_or_column_matches_lapack(self, shape, compute_uv):
+        """A matrix with one row or column hands the kernel one operand row,
+        which meets no pair; svd and svd_many agree with LAPACK and rebuild it."""
+        w = _random(shape, 63)
+        want = np.linalg.svd(w, compute_uv=False)
+        one = svd(w, compute_uv)
+        many = svd_many({"other": _random(shape[::-1], 64), "w": w}, compute_uv)["w"]
+        assert many.sigma.tobytes() == one.sigma.tobytes()
+        assert np.abs(one.sigma - want).max() <= 1e-14 * want[0]
+        if not compute_uv:
+            assert many.u is one.u is many.v is one.v is None
+            return
+        for dec in (one, many):
+            assert np.abs(dec.reconstruct() - w).max() <= 1e-14 * np.abs(w).max()
+            assert np.abs(dec.u.T @ dec.u - 1.0).max() <= 1e-14
+            assert np.abs(dec.v.T @ dec.v - 1.0).max() <= 1e-14
 
     def test_sigma_descending_nonnegative(self):
         dec = svd(_random((10, 7), 1))
@@ -201,28 +220,22 @@ def _extreme_values():
     }
 
 
-class TestFiniteInputNeverReruns:
-    """The kernel reruns a converged problem only when its rows hold a NaN,
-    which finite input to `svd` never produces: no stack of the toy backbone
-    or of finite extreme-value matrices takes the rollback."""
-
-    @pytest.fixture
-    def sweeps(self, monkeypatch):
-        """[calls of kernels._sweeps, problems they marked for a rerun]"""
-        run, count = kernels._sweeps, [0, 0]
-
-        def counted(*args):
-            out = run(*args)
-            count[0] += 1
-            count[1] += int(np.count_nonzero(~out[3]))
-            return out
-
-        monkeypatch.setattr(kernels, "_sweeps", counted)
-        return count
+class TestKernelContract:
+    """`svd` hands the kernel only operands inside its contract, so no stack
+    of the toy backbone or of finite extreme-value matrices meets its
+    ContractError."""
 
     @pytest.mark.parametrize("compute_uv", [True, False])
     @pytest.mark.parametrize("inputs", ["toy-backbone", "extreme-values"])
-    def test_no_rerun(self, sweeps, compute_uv, inputs):
+    def test_svd_never_meets_the_refusal(self, monkeypatch, compute_uv, inputs):
+        svd_module = sys.modules["lamda.svd"]
+        kernel, operands = svd_module.jacobi_sweeps, []
+
+        def spied(ats, *args):
+            operands.extend(ats)
+            return kernel(ats, *args)
+
+        monkeypatch.setattr(svd_module, "jacobi_sweeps", spied)
         if inputs == "toy-backbone":
             weights = ToyTransformer(ToyTransformerConfig(), seed=0).weights()
             weights = {key: w for key, w in weights.items() if w.ndim == 2}
@@ -230,7 +243,8 @@ class TestFiniteInputNeverReruns:
             weights = _extreme_values()
         decs = svd_many(weights, compute_uv=compute_uv)
         assert all(np.isfinite(dec.sigma).all() for dec in decs.values())
-        assert sweeps[0] > 0 and sweeps[1] == 0
+        assert len(operands) == len(weights)
+        assert all(in_kernel_contract(at) for at in operands)
 
 
 def _zero_columns(w, cols):
