@@ -74,9 +74,6 @@ def cmd_analyze(args):
             for m in wanted:
                 if m not in index:
                     raise ConfigError(f"weights file has no tensor named {m!r}")
-                if len(index[m].shape) != 2:
-                    raise ConfigError(f"--modules names {m!r}, which is not a matrix "
-                                      f"(shape {index[m].shape})")
         else:
             wanted = [name for name, entry in index.items() if len(entry.shape) == 2]
         if not wanted:

@@ -32,11 +32,12 @@ B n x m problems, and a wave whose gathered rows pass 32 MB per array
 
 Each numpy step costs a few microseconds whatever its size, and a toy
 64 x 64 problem takes about 700 of them, so one call sweeps a stack of B
-independent problems of one shape. Each wave gathers the same pairs of
-every problem (row indices offset by the problem's first row), and every
-problem keeps its own worst value, convergence test and stop. A problem's
-pairs meet the same rows and the same arithmetic as in its own call, so
-its results are bit for bit the same.
+independent problems of one shape. One index block per call holds the
+schedule's pairs, a row per problem offset to its rows, which a problem
+drops when it stops; each wave slices the same pairs of every row. Every
+problem keeps its own worst value, convergence test and stop, and its
+pairs meet the same rows and arithmetic as in its own call, so its results
+are bit for bit the same.
 
 The rotations' decisions read only the `at` part of each row, so with
 `compute_uv` False the rows carry no `vt` columns: the kernel then
@@ -153,15 +154,6 @@ def _wave(work, m, tol, ip, iq, k, out):
     work[iq] = rp
 
 
-def _offset_waves(n, base):
-    """The schedule's waves for the problems whose rows start at `base`:
-    per r, (A, P) row indices, one row of pairs per problem, and k_old.
-    Every wave is a view of one block per index array."""
-    ip, iq, waves = _schedule(n)
-    ip, iq = ip + base[:, None], iq + base[:, None]
-    return [(ip[:, cut], iq[:, cut], k) for cut, k in waves]
-
-
 def _sweeps(work, count, n, m, tol, max_sweeps):
     """Up to max_sweeps overlapped cyclic sweeps, in place, over `count`
     problems of n rows each (problem b's are rows b*n .. b*n + n - 1).
@@ -180,15 +172,17 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
     # from its older pairs in wave (f + 1)*n + r, and 0 where it has none.
     worst_of = np.zeros((2, 2 * n_eff, count))
     live = np.arange(count)  # problems still sweeping
-    waves = _offset_waves(n_eff, n * live)
+    # The schedule's pairs, one row per running problem, offset to its rows.
+    ip, iq, waves = _schedule(n_eff)
+    ip, iq = ip + n * live[:, None], iq + n * live[:, None]
     g = 0
     while True:
         s, r = divmod(g, n_eff)
-        ip, iq, k = waves[r]
+        cut, k = waves[r]
         out = worst_of[(s - 1) % 2, n_eff + r], worst_of[s % 2, r]
-        lo = k if s == 0 else 0  # sweep -1 does not exist
-        hi = k if s == max_sweeps else ip.shape[1]  # sweep max_sweeps never starts
-        _wave(work, m, tol, ip[:, lo:hi], iq[:, lo:hi], k - lo, out)
+        lo = cut.start + (k if s == 0 else 0)  # sweep -1 does not exist
+        hi = cut.start + k if s == max_sweeps else cut.stop  # sweep max_sweeps never starts
+        _wave(work, m, tol, ip[:, lo:hi], iq[:, lo:hi], cut.start + k - lo, out)
         if g >= lag and (g - lag) % n_eff == 0:  # sweep f has run its last wave
             f = (g - lag) // n_eff
             top = worst_of[f % 2].max(axis=0)
@@ -197,11 +191,10 @@ def _sweeps(work, count, n, m, tol, max_sweeps):
             if stop.any():
                 ended = live[stop]
                 sweeps[ended], worst[ended], converged[ended] = f + 1, top[stop], done[stop]
-                live = live[~stop]
-                if live.size == 0:
+                if stop.all():
                     return sweeps, worst, converged
-                worst_of = worst_of[:, :, ~stop]
-                waves = _offset_waves(n_eff, n * live)
+                keep = ~stop
+                live, ip, iq, worst_of = live[keep], ip[keep], iq[keep], worst_of[:, :, keep]
         g += 1
 
 

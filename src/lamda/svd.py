@@ -71,6 +71,11 @@ def svd_many(weights, compute_uv=True):
     `kernels.jacobi_sweeps`, which never writes to them, and each
     decomposition is bit for bit that of the matrix's own call. An operand
     is dropped once its stack is swept.
+
+    A problem whose sweeps do not converge is swept once more from where
+    it stopped (`_rerun`): a second kernel call on failing inputs only, so
+    every converging input keeps its bits. A rerun that fails too raises
+    NumericalError naming the matrix.
     """
     operands = {key: _operand(key, w) for key, w in weights.items()}
     groups = {}
@@ -78,16 +83,43 @@ def svd_many(weights, compute_uv=True):
         groups.setdefault(operand.shape, []).append(key)
     decs = {}
     for keys in groups.values():
-        at, vt, _, worst, converged = jacobi_sweeps(
+        at, vt, _, _, converged = jacobi_sweeps(
             [operands[key][0] for key in keys], compute_uv, DEFAULT_TOL, MAX_SWEEPS)
         for b, key in enumerate(keys):
-            if not converged[b]:
-                raise NumericalError(
-                    f"jacobi svd of {key!r} did not converge in {MAX_SWEEPS} sweeps "
-                    f"(relative off-diagonal {worst[b]:.3e})"
-                )
-            decs[key] = _factors(key, at[b], vt[b], *operands.pop(key)[1:])
+            _, flipped, exponent = operands.pop(key)
+            at_b, vt_b, shift = (at[b], vt[b], 0) if converged[b] else _rerun(key, at[b], vt[b])
+            decs[key] = _factors(key, at_b, vt_b, flipped, exponent - shift)
     return {key: decs[key] for key in weights}
+
+
+def _rerun(key, at, vt):
+    """(at, vt, shift): a problem whose sweeps ended unconverged at rows `at`
+    and rotations `vt`, swept once more from there, its rows scaled by
+    2**-shift.
+
+    A working row that shrinks toward a zero singular value sticks near
+    1e-154 of the largest, where its squared norm leaves the normal range
+    and its rotations' tau**2 overflows. Rows below 2**-450 of the largest
+    are zeroed first, which moves no singular value by more than that share
+    of the largest. The rerun accumulates rotations even for values only,
+    so its rows, and sigma, are bit for bit the full run's.
+    """
+    # A power-of-two scale up into [0.5, 1), which is exact, or down only as
+    # far as the kernel's bound, which rows that carry whole column norms
+    # can pass by sqrt(n * m); that rounds only entries it takes below 2**-1022.
+    top = np.abs(at).max()
+    shift = math.frexp(top)[1] if top < 0.5 else max(
+        math.frexp(top * math.sqrt(at.size))[1] - _SAFE_EXP, 0)
+    rows = np.ldexp(at, -shift)
+    lines = np.abs(rows).max(axis=1)
+    rows[lines < lines.max() * 2.0**-450] = 0.0
+    at, vt_more, _, worst, converged = jacobi_sweeps([rows], True, DEFAULT_TOL, MAX_SWEEPS)
+    if not converged[0]:
+        raise NumericalError(
+            f"jacobi svd of {key!r} did not converge in {MAX_SWEEPS} sweeps, nor in "
+            f"{MAX_SWEEPS} more with its stuck rows zeroed (relative off-diagonal "
+            f"{worst[0]:.3e})")
+    return at[0], vt_more[0] @ vt, shift
 
 
 def check_shape(key, shape):
@@ -132,11 +164,14 @@ def _factors(key, at, vt, flipped, exponent):
     """The decomposition from the kernel's orthogonalized rows `at` and
     rotations `vt`, values only if `vt` has no columns. Sigma is the row
     norms in descending order, all but the `live` leading ones cut to 0,
-    with the input's power-of-two scale undone."""
+    with the input's power-of-two scale undone. A row below 2**-511 is not
+    live: its squared norm is subnormal, so the kernel measured neither its
+    norm nor its angles to the others (it skips the pairs of a row whose
+    square flushes to 0), and its own direction is rounding."""
     norms = np.sqrt(np.einsum("ij,ij->i", at, at))
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
-    live = int(np.count_nonzero(norms > max(norms[0], 1.0) * 1e-300))  # norms descend: they lead
+    live = int(np.count_nonzero(norms >= 2.0**-511))  # norms descend: they lead
     norms[live:] = 0.0
     sigma = norms
     if exponent:

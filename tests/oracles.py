@@ -244,10 +244,9 @@ def svd_factors_loop_ref(at, vt, flipped, exponent):
     sigma = sigma[order]
     u = at[order].T.copy()
     v = vt[order].T.copy()
-    tiny = max(sigma[0], 1.0) * 1e-300
     zero_cols = []
     for j in range(sigma.shape[0]):
-        if sigma[j] > tiny:
+        if sigma[j] >= 2.0**-511:  # a smaller squared norm is subnormal
             u[:, j] /= sigma[j]
         else:
             sigma[j] = 0.0

@@ -6,10 +6,13 @@ regenerated to make a change pass: a deliberate bit change is recorded in
 `CHANGES.md` with the old and new digests.
 """
 
+import csv
 import json
 import os
 
 import print_output_digests as digests
+from conftest import OPENBLAS_THREADS_AT_START
+from test_kernels import _python
 
 
 def test_every_output_matches_its_committed_digest(tmp_path):
@@ -17,6 +20,20 @@ def test_every_output_matches_its_committed_digest(tmp_path):
         want = json.load(fh)
     lines = digests.mismatches(want, digests.outputs(tmp_path))
     assert not lines, "\n".join(lines)
+
+
+def test_golden_series_does_not_depend_on_blas_threads():
+    """The golden run, trained in a fresh interpreter at the other BLAS
+    thread count, gives `golden_loss.csv`'s loss series bit for bit."""
+    threads = "2" if OPENBLAS_THREADS_AT_START == "1" else "1"
+    code = ("import json, os, print_output_digests as d; "
+            "from lamda.config import load_run_config; from lamda.train import train; "
+            "cfg = load_run_config(os.path.join(d.DATA, 'golden_config.json')); "
+            "print(json.dumps([[s, repr(float(loss))] for s, loss, _, _ in train(cfg).metrics]))")
+    there = json.loads(_python(code, OPENBLAS_NUM_THREADS=threads))
+    with open(os.path.join(digests.DATA, "golden_loss.csv"), newline="") as fh:
+        golden = [[int(row["step"]), row["loss"]] for row in csv.DictReader(fh)]
+    assert there == golden
 
 
 def test_mismatch_names_the_file_and_the_block_of_its_first_differing_byte():
